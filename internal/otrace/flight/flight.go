@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"wsrs/internal/otrace"
+	"wsrs/internal/ring"
 )
 
 // Event kinds — what part of the system produced a ring entry.
@@ -103,9 +104,7 @@ type Recorder struct {
 	opts Options
 
 	mu         sync.Mutex
-	ring       []Event
-	next       int
-	total      uint64
+	events     ring.Ring[Event]
 	seq        uint64
 	lastSnap   map[string]int64 // reason -> last capture, otrace.Now() ns
 	snapshots  []*Snapshot      // most recent kept, bounded
@@ -137,7 +136,7 @@ func New(opts Options) *Recorder {
 	}
 	return &Recorder{
 		opts:     opts,
-		ring:     make([]Event, 0, opts.Events),
+		events:   ring.New[Event](opts.Events),
 		lastSnap: map[string]int64{},
 	}
 }
@@ -152,16 +151,7 @@ func (r *Recorder) Record(ev Event) {
 		ev.NS = otrace.Now()
 	}
 	r.mu.Lock()
-	if len(r.ring) < cap(r.ring) {
-		r.ring = append(r.ring, ev)
-	} else {
-		r.ring[r.next] = ev
-	}
-	r.next++
-	if r.next == cap(r.ring) {
-		r.next = 0
-	}
-	r.total++
+	r.events.Add(ev)
 	r.mu.Unlock()
 }
 
@@ -172,7 +162,7 @@ func (r *Recorder) Len() int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.ring)
+	return r.events.Len()
 }
 
 // Total returns the number of events ever recorded.
@@ -182,17 +172,7 @@ func (r *Recorder) Total() uint64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.total
-}
-
-// eventsLocked copies the ring oldest-first. Caller holds r.mu.
-func (r *Recorder) eventsLocked() []Event {
-	out := make([]Event, 0, len(r.ring))
-	if len(r.ring) < cap(r.ring) {
-		return append(out, r.ring...)
-	}
-	out = append(out, r.ring[r.next:]...)
-	return append(out, r.ring[:r.next]...)
+	return r.events.Total()
 }
 
 // Snapshot captures and persists a postmortem artifact (debounced per
@@ -229,9 +209,9 @@ func (r *Recorder) Capture(reason, cellDigest, detail string, persist bool) *Sna
 		CellDigest:    cellDigest,
 		Detail:        detail,
 		Time:          otrace.WallAt(now).Format(time.RFC3339Nano),
-		TotalEvents:   r.total,
-		DroppedEvents: r.total - uint64(len(r.ring)),
-		Events:        r.eventsLocked(),
+		TotalEvents:   r.events.Total(),
+		DroppedEvents: r.events.Total() - uint64(r.events.Len()),
+		Events:        r.events.Copy(0),
 	}
 	writeFile := persist && r.opts.Dir != "" && r.written < r.opts.MaxArtifacts
 	if writeFile {
@@ -322,18 +302,15 @@ func (r *Recorder) State(recentEvents int) State {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	events := r.eventsLocked()
-	if len(events) > recentEvents {
-		events = events[len(events)-recentEvents:]
-	}
+	total := r.events.Total()
 	return State{
 		Process:       r.opts.Process,
 		PID:           os.Getpid(),
-		Events:        len(r.ring),
-		TotalEvents:   r.total,
-		DroppedEvents: r.total - uint64(len(r.ring)),
+		Events:        r.events.Len(),
+		TotalEvents:   total,
+		DroppedEvents: total - uint64(r.events.Len()),
 		Suppressed:    r.suppressed,
-		Recent:        events,
+		Recent:        r.events.Copy(total - min(total, uint64(recentEvents))),
 		Snapshots:     append([]*Snapshot(nil), r.snapshots...),
 	}
 }

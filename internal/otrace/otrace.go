@@ -27,6 +27,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"wsrs/internal/ring"
 )
 
 // TraceID identifies one request/job trace. Zero means "no trace".
@@ -186,9 +188,7 @@ type Recorder struct {
 	spanSeed uint64
 
 	mu    sync.Mutex
-	ring  []Span // fixed capacity, allocated once
-	next  int    // next write index
-	total uint64 // spans ever appended (wraparound detector)
+	spans ring.Ring[Span]
 }
 
 // DefaultCapacity is the ring size NewRecorder selects for cap <= 0.
@@ -203,7 +203,7 @@ func NewRecorder(cap int) *Recorder {
 	}
 	seed := uint64(time.Now().UnixNano())
 	r := &Recorder{
-		ring:     make([]Span, 0, cap),
+		spans:    ring.New[Span](cap),
 		seed:     seed,
 		spanSeed: splitmix64(seed ^ 0xa5a5a5a5a5a5a5a5),
 	}
@@ -215,9 +215,7 @@ func NewRecorder(cap int) *Recorder {
 // contract).
 func (r *Recorder) Reset() {
 	r.mu.Lock()
-	r.ring = r.ring[:0]
-	r.next = 0
-	r.total = 0
+	r.spans.Reset()
 	r.mu.Unlock()
 	r.ids.Store(0)
 	r.traces.Store(0)
@@ -279,16 +277,7 @@ func (r *Recorder) End(sp *Span) {
 // span once the ring is full.
 func (r *Recorder) Append(sp *Span) {
 	r.mu.Lock()
-	if len(r.ring) < cap(r.ring) {
-		r.ring = append(r.ring, *sp)
-	} else {
-		r.ring[r.next] = *sp
-	}
-	r.next++
-	if r.next == cap(r.ring) {
-		r.next = 0
-	}
-	r.total++
+	r.spans.Add(*sp)
 	r.mu.Unlock()
 }
 
@@ -296,14 +285,14 @@ func (r *Recorder) Append(sp *Span) {
 func (r *Recorder) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.ring)
+	return r.spans.Len()
 }
 
 // Cap returns the ring capacity.
 func (r *Recorder) Cap() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return cap(r.ring)
+	return r.spans.Cap()
 }
 
 // Total returns the number of spans ever appended; Total() - Len() is
@@ -311,19 +300,14 @@ func (r *Recorder) Cap() int {
 func (r *Recorder) Total() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.total
+	return r.spans.Total()
 }
 
 // Snapshot copies every held span, oldest first. Cold path.
 func (r *Recorder) Snapshot() []Span {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Span, 0, len(r.ring))
-	if len(r.ring) < cap(r.ring) {
-		return append(out, r.ring...)
-	}
-	out = append(out, r.ring[r.next:]...)
-	return append(out, r.ring[:r.next]...)
+	return r.spans.Copy(0)
 }
 
 // TraceSpans copies the held spans of one trace, oldest first. Spans
@@ -333,18 +317,10 @@ func (r *Recorder) TraceSpans(t TraceID) []Span {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var out []Span
-	scan := func(spans []Span) {
-		for i := range spans {
-			if spans[i].Trace == t {
-				out = append(out, spans[i])
-			}
+	r.spans.Range(0, func(sp *Span) {
+		if sp.Trace == t {
+			out = append(out, *sp)
 		}
-	}
-	if len(r.ring) < cap(r.ring) {
-		scan(r.ring)
-	} else {
-		scan(r.ring[r.next:])
-		scan(r.ring[:r.next])
-	}
+	})
 	return out
 }

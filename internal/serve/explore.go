@@ -2,13 +2,11 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"wsrs/internal/explore"
@@ -73,45 +71,28 @@ type ExploreEvent struct {
 	Job       *ExploreStatus `json:"job,omitempty"`
 }
 
-// exploreJob is the server-side record of one exploration. It
-// implements explore.Observer: the search goroutine's phase and
-// progress callbacks update the record, emit span-per-phase traces and
-// append SSE events.
+// exploreJob is the exploration kind's record: the shared lifecycle
+// plus the search state. It implements explore.Observer: the search
+// goroutine's phase and progress callbacks update the record, emit
+// span-per-phase traces and append SSE events.
 type exploreJob struct {
-	id    string
-	label string
+	lifecycle[ExploreEvent]
 
-	trace      otrace.TraceID
-	root       otrace.SpanID
-	parentSpan otrace.SpanID
-	startNs    int64
-	tracer     *otrace.Recorder
-
-	ctx    context.Context
-	cancel context.CancelFunc
+	tracer *otrace.Recorder
 	req    explore.Request
 
 	spaceDigest string
 	cellsTotal  int
 
-	mu        sync.Mutex
-	state     string
-	created   time.Time
-	finished  time.Time
 	phase     string
 	evaluated int
 	pruned    int
 	frontier  int
 	cacheHits int64
 	rendered  []byte
-	err       string
-	events    []ExploreEvent
-	changed   chan struct{}
 	phaseSpan otrace.Span
 	phaseOpen bool
 }
-
-func (x *exploreJob) rootCtx() otrace.Ctx { return otrace.Ctx{Trace: x.trace, Span: x.root} }
 
 // Phase implements explore.Observer: close the previous phase span,
 // open the next, and emit the phase event.
@@ -123,7 +104,7 @@ func (x *exploreJob) Phase(name string) {
 	x.phaseSpan = x.tracer.Begin("explore."+name, x.rootCtx())
 	x.phaseOpen = true
 	x.phase = name
-	x.appendEventLocked(ExploreEvent{Type: "phase", Phase: name,
+	x.appendLocked(ExploreEvent{Type: "phase", Phase: name,
 		Evaluated: x.evaluated, Pruned: x.pruned, Frontier: x.frontier})
 	x.mu.Unlock()
 }
@@ -132,7 +113,7 @@ func (x *exploreJob) Phase(name string) {
 func (x *exploreJob) Progress(evaluated, pruned, frontier int) {
 	x.mu.Lock()
 	x.evaluated, x.pruned, x.frontier = evaluated, pruned, frontier
-	x.appendEventLocked(ExploreEvent{Type: "progress", Phase: x.phase,
+	x.appendLocked(ExploreEvent{Type: "progress", Phase: x.phase,
 		Evaluated: evaluated, Pruned: pruned, Frontier: frontier})
 	x.mu.Unlock()
 }
@@ -147,26 +128,10 @@ func (x *exploreJob) closePhase() {
 	x.mu.Unlock()
 }
 
-func (x *exploreJob) addCacheHit() {
+func (x *exploreJob) addCacheHits(n int64) {
 	x.mu.Lock()
-	x.cacheHits++
+	x.cacheHits += n
 	x.mu.Unlock()
-}
-
-func (x *exploreJob) appendEventLocked(ev ExploreEvent) {
-	x.events = append(x.events, ev)
-	close(x.changed)
-	x.changed = make(chan struct{})
-}
-
-func (x *exploreJob) eventsSince(cursor int) ([]ExploreEvent, chan struct{}, bool) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	terminal := x.state == StateDone || x.state == StateFailed || x.state == StateCanceled
-	if cursor >= len(x.events) {
-		return nil, x.changed, terminal
-	}
-	return append([]ExploreEvent(nil), x.events[cursor:]...), x.changed, terminal
 }
 
 func (x *exploreJob) status() ExploreStatus {
@@ -174,6 +139,8 @@ func (x *exploreJob) status() ExploreStatus {
 	defer x.mu.Unlock()
 	return x.statusLocked()
 }
+
+func (x *exploreJob) view(bool) any { return x.status() }
 
 func (x *exploreJob) statusLocked() ExploreStatus {
 	st := ExploreStatus{
@@ -190,22 +157,15 @@ func (x *exploreJob) statusLocked() ExploreStatus {
 	return st
 }
 
-// finish moves the job to a terminal state and emits the job event.
-func (x *exploreJob) finish(state, errMsg string) {
-	x.mu.Lock()
-	if x.state == StateDone || x.state == StateFailed || x.state == StateCanceled {
-		x.mu.Unlock()
-		return
-	}
-	x.state = state
-	x.err = errMsg
-	x.phase = ""
-	x.finished = time.Now()
-	st := x.statusLocked()
-	x.appendEventLocked(ExploreEvent{Type: "job", Evaluated: st.Evaluated,
-		Pruned: st.Pruned, Frontier: st.FrontierSize, Job: &st})
-	x.mu.Unlock()
-	x.cancel()
+// end moves the exploration to a terminal state and emits the job
+// event.
+func (x *exploreJob) end(state, errMsg string) {
+	x.finish(state, errMsg, func() ExploreEvent {
+		x.phase = ""
+		st := x.statusLocked()
+		return ExploreEvent{Type: "job", Evaluated: st.Evaluated,
+			Pruned: st.Pruned, Frontier: st.FrontierSize, Job: &st}
+	})
 }
 
 // document returns the rendered frontier document once the job is done.
@@ -215,39 +175,13 @@ func (x *exploreJob) document() ([]byte, bool) {
 	return x.rendered, x.state == StateDone
 }
 
-// admissionError is a batch reservation the queue cannot absorb; the
-// explore driver fails the job with 429 semantics recorded in the
-// error string.
-type admissionError struct {
-	pending int64
-	cap     int
-}
-
-func (e *admissionError) Error() string {
-	return fmt.Sprintf("queue full: %d cells pending of %d cap", e.pending, e.cap)
-}
-
-// reservePending reserves queue room for n cells or reports the
-// admission failure — the same compare-and-swap the job API runs, so
-// explore batches and jobs contend for one admission budget.
-func (s *Server) reservePending(n int) error {
-	for {
-		p := s.pending.Load()
-		if int(p)+n > s.opts.MaxQueuedCells {
-			return &admissionError{pending: p, cap: s.opts.MaxQueuedCells}
-		}
-		if s.pending.CompareAndSwap(p, p+int64(n)) {
-			s.reg.Gauge(mPending, helpPending).Set(s.pending.Load())
-			return nil
-		}
-	}
-}
-
-// serverEvaluator runs explore cells through the daemon's existing
-// machinery: content-addressed cache first, then the singleflight +
-// worker-pool path every job-API cell takes (which in coordinator mode
-// scatters across the fleet via the configured CellRunner). Telemetry
-// is always on — the search prices energy from activity counters.
+// serverEvaluator runs explore cells through the daemon's job
+// machinery: each batch reserves its cells like a job of the same size
+// and resolves them through resolveCells — content-addressed cache,
+// then the singleflight + worker-pool path every grid cell takes
+// (which in coordinator mode scatters across the fleet via the
+// configured CellRunner). Telemetry is always on — the search prices
+// energy from activity counters.
 type serverEvaluator struct {
 	s *Server
 	x *exploreJob
@@ -262,41 +196,30 @@ func (e *serverEvaluator) Evaluate(ctx context.Context, cells []explore.Cell, op
 			Measure: opts.Measure, Telemetry: true,
 		}
 	}
-	// Admission: the whole batch reserves queue room up front, exactly
-	// like a job of the same size.
 	if err := e.s.reservePending(len(ids)); err != nil {
 		return nil, err
 	}
-	outs := make([]explore.Outcome, len(ids))
-	var wg sync.WaitGroup
-	for i := range ids {
-		digest := ids[i].Digest()
-		res, hit := e.s.cache.Get(digest)
-		if hit {
-			e.s.reg.Counter(mCacheHits, helpCacheHits).Inc()
-			e.x.addCacheHit()
-			outs[i] = explore.Outcome{Result: res, Cached: true}
-			e.s.cellDone()
-			continue
-		}
-		fl, _ := e.s.acquireFlight(ids[i], digest, e.x.rootCtx(), nil)
-		wg.Add(1)
-		go func(i int, fl *flight) {
-			defer wg.Done()
-			defer e.s.cellDone()
-			select {
-			case <-fl.done:
-				outs[i] = explore.Outcome{Result: fl.res, Err: fl.err}
-			case <-ctx.Done():
-				fl.abandon()
-				outs[i] = explore.Outcome{Err: ctx.Err()}
-			}
-		}(i, fl)
-	}
-	wg.Wait()
+	// The batch is an unlisted job-shaped record: never in /v1/jobs or
+	// /debug/slow, its cell spans hanging off the exploration's root.
+	b := newJob("", "", ctx, ids, e.s.tracer, e.x.rootCtx())
+	b.root = e.x.root
+	defer b.cancel()
+	e.s.resolveCells(b)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	outs := make([]explore.Outcome, len(ids))
+	var hits int64
+	for i, c := range b.cells {
+		outs[i] = explore.Outcome{Result: b.results[i], Cached: c.Cache == CacheHit}
+		if c.Error != "" {
+			outs[i].Err = errors.New(c.Error)
+		}
+		if outs[i].Cached {
+			hits++
+		}
+	}
+	e.x.addCacheHits(hits)
 	return outs, nil
 }
 
@@ -313,133 +236,64 @@ func exploreWorkload(r *explore.Request) (digest string, cells int) {
 	return canon.Digest(), selected * len(canon.Kernels)
 }
 
+// handleExploreSubmit admits an exploration: the request validates,
+// its measure stays within the MaxMeasure cap, its space enumerates to
+// at least one point and its largest batch fits the queue. Nothing is
+// reserved up front — each evaluation batch reserves its own cells.
 func (s *Server) handleExploreSubmit(w http.ResponseWriter, r *http.Request) {
-	adm := s.tracer.Begin("explore.admission", requestCtx(r))
-	outcome := "accepted"
-	defer func() {
-		adm.SetStr("outcome", outcome)
-		s.tracer.End(&adm)
-	}()
-
-	if s.draining.Load() {
-		outcome = "draining"
-		s.writeError(w, r, http.StatusServiceUnavailable,
-			ErrorEnvelope{Msg: "draining: not accepting new jobs"})
-		return
-	}
 	var req ExploreRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		outcome = "invalid"
-		s.writeError(w, r, http.StatusBadRequest, ErrorEnvelope{Field: "body", Msg: err.Error()})
-		return
-	}
-	req.Request.Normalize()
-	if errs := req.Request.Validate(); len(errs) > 0 {
-		// Structured 400: the envelope carries the first field error's
-		// detail (field, message, valid set) and enumerates the rest.
-		outcome = "invalid"
-		s.reg.Counter(mExploreJobs+telemetry.Labels("outcome", "invalid"), helpExploreJobs).Inc()
-		msgs := make([]string, len(errs))
-		for i, fe := range errs {
-			msgs[i] = fe.Error()
+	var digest string
+	var cells int
+	s.explores.admit(w, r, &req, func() (int, error) {
+		req.Request.Normalize()
+		if errs := req.Request.Validate(); len(errs) > 0 {
+			// The first field error's detail (field, valid set) leads;
+			// the message enumerates them all.
+			msgs := make([]string, len(errs))
+			for i, fe := range errs {
+				msgs[i] = fe.Error()
+			}
+			return 0, &RequestError{Field: errs[0].Field, Msg: strings.Join(msgs, "; "), Valid: errs[0].Valid}
 		}
-		s.writeError(w, r, http.StatusBadRequest, ErrorEnvelope{
-			Msg: strings.Join(msgs, "; "), Field: errs[0].Field, Valid: errs[0].Valid})
-		return
-	}
-	if s.opts.MaxMeasure > 0 && req.Request.Measure > s.opts.MaxMeasure {
-		outcome = "invalid"
-		s.writeError(w, r, http.StatusBadRequest, ErrorEnvelope{
-			Field: "measure_insts",
-			Msg:   fmt.Sprintf("measure %d exceeds the server cap %d", req.Request.Measure, s.opts.MaxMeasure)})
-		return
-	}
-	digest, cells := exploreWorkload(&req.Request)
-	if cells == 0 {
-		outcome = "invalid"
-		s.writeError(w, r, http.StatusBadRequest, ErrorEnvelope{
-			Field: "space", Msg: "space enumerates to zero simulable points"})
-		return
-	}
-	// Admission: a space whose largest batch cannot ever fit the queue
-	// is refused outright rather than accepted to fail.
-	if cells > s.opts.MaxQueuedCells {
-		outcome = "rejected"
-		s.reg.Counter(mExploreJobs+telemetry.Labels("outcome", "rejected"), helpExploreJobs).Inc()
-		w.Header().Set("Retry-After", "1")
-		s.writeError(w, r, http.StatusTooManyRequests, ErrorEnvelope{
-			Msg:      fmt.Sprintf("space needs %d concurrent cells, above the queue cap", cells),
-			Pending:  s.pending.Load(),
-			QueueCap: s.opts.MaxQueuedCells})
-		return
-	}
-
-	ctx, cancel := context.WithCancel(s.ctx)
-	trace := requestCtx(r).Trace
-	if trace == 0 {
-		trace = s.tracer.NewTrace()
-	}
-	s.mu.Lock()
-	s.nextExploreID++
-	x := &exploreJob{
-		id:          fmt.Sprintf("x-%06d", s.nextExploreID),
-		label:       req.Label,
-		trace:       trace,
-		root:        s.tracer.AllocID(),
-		parentSpan:  requestCtx(r).Span,
-		startNs:     otrace.Now(),
-		tracer:      s.tracer,
-		ctx:         ctx,
-		cancel:      cancel,
-		req:         req.Request,
-		spaceDigest: digest,
-		cellsTotal:  cells,
-		state:       StateQueued,
-		created:     time.Now(),
-		changed:     make(chan struct{}),
-	}
-	s.explores[x.id] = x
-	s.exploreOrder = append(s.exploreOrder, x.id)
-	s.evictExploresLocked()
-	s.mu.Unlock()
-	adm.SetStr("explore_id", x.id)
-
-	s.reg.Gauge(mExploreActive, helpExploreActive).Add(1)
-	s.jobWG.Add(1)
-	go s.runExplore(x)
-
-	s.log.LogAttrs(r.Context(), slog.LevelInfo, "explore accepted",
-		slog.String("explore_id", x.id),
-		slog.String("trace_id", otrace.FormatTraceID(x.trace)),
-		slog.String("label", x.label),
-		slog.String("strategy", x.req.Strategy),
-		slog.String("space_digest", digest),
-		slog.Int("cells", cells))
-
-	w.Header().Set("Location", "/v1/explore/"+x.id)
-	writeJSON(w, http.StatusAccepted, x.status())
+		if s.opts.MaxMeasure > 0 && req.Request.Measure > s.opts.MaxMeasure {
+			return 0, &RequestError{Field: "measure_insts",
+				Msg: fmt.Sprintf("measure %d exceeds the server cap %d", req.Request.Measure, s.opts.MaxMeasure)}
+		}
+		digest, cells = exploreWorkload(&req.Request)
+		switch {
+		case cells == 0:
+			return 0, &RequestError{Field: "space", Msg: "space enumerates to zero simulable points"}
+		case cells > s.opts.MaxQueuedCells:
+			// A space whose largest batch cannot ever fit the queue is
+			// refused outright rather than accepted to fail.
+			return 0, &admissionError{
+				msg:     fmt.Sprintf("space needs %d concurrent cells, above the queue cap", cells),
+				pending: s.pending.Load(), cap: s.opts.MaxQueuedCells}
+		}
+		return 0, nil
+	}, func(id string, tc otrace.Ctx) (*exploreJob, []slog.Attr) {
+		x := &exploreJob{tracer: s.tracer, req: req.Request, spaceDigest: digest, cellsTotal: cells}
+		x.init(id, req.Label, s.ctx, s.tracer, tc)
+		return x, []slog.Attr{
+			slog.String("label", req.Label),
+			slog.String("strategy", req.Strategy),
+			slog.String("space_digest", digest),
+			slog.Int("cells", cells),
+		}
+	})
 }
 
-// runExplore drives one accepted exploration to a terminal state.
-func (s *Server) runExplore(x *exploreJob) {
-	defer s.jobWG.Done()
-	defer s.reg.Gauge(mExploreActive, helpExploreActive).Add(-1)
-	x.mu.Lock()
-	if x.state == StateQueued {
-		x.state = StateRunning
-	}
-	x.mu.Unlock()
-
+// run drives an accepted exploration to a terminal state and closes it.
+func (x *exploreJob) run(s *Server) {
+	x.setRunning()
 	doc, err := explore.Run(x.ctx, x.req, &serverEvaluator{s: s, x: x}, x)
 	x.closePhase()
 
-	outcome := "done"
 	switch {
 	case err == nil:
 		rendered, rerr := doc.Render()
 		if rerr != nil {
-			outcome = "failed"
-			x.finish(StateFailed, rerr.Error())
+			x.end(StateFailed, rerr.Error())
 			break
 		}
 		x.mu.Lock()
@@ -450,92 +304,27 @@ func (s *Server) runExplore(x *exploreJob) {
 		x.mu.Unlock()
 		s.reg.Counter(mExplorePoints+telemetry.Labels("disposition", "evaluated"), helpExplorePoints).Add(uint64(doc.Evaluated))
 		s.reg.Counter(mExplorePoints+telemetry.Labels("disposition", "pruned"), helpExplorePoints).Add(uint64(len(doc.PrunedSet)))
-		x.finish(StateDone, "")
+		x.end(StateDone, "")
 	case x.ctx.Err() != nil || errors.Is(err, context.Canceled):
-		outcome = "canceled"
-		x.finish(StateCanceled, "canceled")
+		x.end(StateCanceled, "canceled")
 	default:
-		outcome = "failed"
-		x.finish(StateFailed, err.Error())
+		x.end(StateFailed, err.Error())
 	}
-	s.reg.Counter(mExploreJobs+telemetry.Labels("outcome", outcome), helpExploreJobs).Inc()
 
-	// Close the trace: emit the root "explore" span retroactively under
-	// its preallocated ID, so the phase spans recorded meanwhile already
-	// parent to it.
-	endNs := otrace.Now()
 	st := x.status()
-	root := s.tracer.Make("explore", otrace.Ctx{Trace: x.trace, Span: x.parentSpan}, x.startNs, endNs)
-	root.ID = x.root
-	root.SetStr("explore_id", x.id)
-	root.SetStr("state", st.State)
-	root.SetStr("strategy", x.req.Strategy)
-	root.SetInt("evaluated", int64(st.Evaluated))
-	root.SetInt("pruned", int64(st.Pruned))
-	root.SetInt("frontier", int64(st.FrontierSize))
-	s.tracer.Append(&root)
-	s.syncTraceMetrics()
-
-	s.log.LogAttrs(context.Background(), slog.LevelInfo, "explore finished",
-		slog.String("explore_id", x.id),
-		slog.String("trace_id", otrace.FormatTraceID(x.trace)),
-		slog.String("state", st.State),
-		slog.Int("evaluated", st.Evaluated),
-		slog.Int("pruned", st.Pruned),
-		slog.Int("frontier", st.FrontierSize),
-		slog.Int64("cache_hits", st.CacheHits),
-		slog.Float64("total_ms", float64(time.Duration(endNs-x.startNs).Microseconds())/1000))
-}
-
-// evictExploresLocked trims the oldest terminal explore jobs past the
-// history cap (shared with the job history cap).
-func (s *Server) evictExploresLocked() {
-	for len(s.exploreOrder) > s.opts.KeepJobs {
-		id := s.exploreOrder[0]
-		st := s.explores[id].status()
-		if st.State != StateDone && st.State != StateFailed && st.State != StateCanceled {
-			return
-		}
-		s.exploreOrder = s.exploreOrder[1:]
-		delete(s.explores, id)
-	}
-}
-
-func (s *Server) lookupExplore(w http.ResponseWriter, r *http.Request) *exploreJob {
-	s.mu.Lock()
-	x := s.explores[r.PathValue("id")]
-	s.mu.Unlock()
-	if x == nil {
-		s.writeError(w, r, http.StatusNotFound,
-			ErrorEnvelope{Msg: fmt.Sprintf("no such explore job %q", r.PathValue("id"))})
-	}
-	return x
-}
-
-func (s *Server) handleExploreList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	out := make([]ExploreStatus, 0, len(s.exploreOrder))
-	for _, id := range s.exploreOrder {
-		out = append(out, s.explores[id].status())
-	}
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handleExploreGet(w http.ResponseWriter, r *http.Request) {
-	if x := s.lookupExplore(w, r); x != nil {
-		writeJSON(w, http.StatusOK, x.status())
-	}
+	x.close(s, &s.explores.kind, st.State, otrace.Now(), func(root *otrace.Span) {
+		root.SetStr("strategy", x.req.Strategy)
+		root.SetInt("evaluated", int64(st.Evaluated))
+		root.SetInt("pruned", int64(st.Pruned))
+		root.SetInt("frontier", int64(st.FrontierSize))
+	}, slog.Int("evaluated", st.Evaluated), slog.Int("pruned", st.Pruned),
+		slog.Int("frontier", st.FrontierSize), slog.Int64("cache_hits", st.CacheHits))
 }
 
 // handleExploreFrontier serves the finished job's frontier document
 // verbatim — the deterministic JSON explore.Document.Render produced,
 // byte-identical across runs, hosts and evaluators.
-func (s *Server) handleExploreFrontier(w http.ResponseWriter, r *http.Request) {
-	x := s.lookupExplore(w, r)
-	if x == nil {
-		return
-	}
+func (s *Server) handleExploreFrontier(w http.ResponseWriter, r *http.Request, x *exploreJob) {
 	doc, done := x.document()
 	if !done {
 		s.writeError(w, r, http.StatusConflict, ErrorEnvelope{
@@ -545,65 +334,4 @@ func (s *Server) handleExploreFrontier(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_, _ = w.Write(doc)
-}
-
-func (s *Server) handleExploreCancel(w http.ResponseWriter, r *http.Request) {
-	x := s.lookupExplore(w, r)
-	if x == nil {
-		return
-	}
-	x.cancel()
-	writeJSON(w, http.StatusOK, x.status())
-}
-
-// handleExploreEvents streams the explore event log as server-sent
-// events: phases, progress ticks (points evaluated / pruned / frontier
-// size) and the terminal job record.
-func (s *Server) handleExploreEvents(w http.ResponseWriter, r *http.Request) {
-	x := s.lookupExplore(w, r)
-	if x == nil {
-		return
-	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusNotImplemented)
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	cursor := 0
-	for {
-		events, changed, terminal := x.eventsSince(cursor)
-		for _, ev := range events {
-			data, err := json.Marshal(ev)
-			if err != nil {
-				return
-			}
-			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, data)
-		}
-		cursor += len(events)
-		fl.Flush()
-		if terminal && len(events) == 0 {
-			return
-		}
-		if len(events) > 0 {
-			continue
-		}
-		select {
-		case <-changed:
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
-// initExploreMetrics pre-registers the explore families.
-func (s *Server) initExploreMetrics() {
-	for _, outcome := range []string{"done", "failed", "canceled", "rejected", "invalid"} {
-		s.reg.Counter(mExploreJobs+telemetry.Labels("outcome", outcome), helpExploreJobs)
-	}
-	s.reg.Gauge(mExploreActive, helpExploreActive)
-	for _, d := range []string{"evaluated", "pruned"} {
-		s.reg.Counter(mExplorePoints+telemetry.Labels("disposition", d), helpExplorePoints)
-	}
 }

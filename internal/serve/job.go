@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"wsrs"
@@ -259,70 +258,35 @@ type Event struct {
 	Job  *JobStatus  `json:"job,omitempty"`
 }
 
-// job is the server-side record: the public status plus the results,
-// the cancel context and the event log with its change broadcast.
+// job is the grid kind's record: the shared lifecycle plus the cells,
+// their results and the phase decomposition.
 type job struct {
-	id    string
-	label string
+	lifecycle[Event]
 
-	// Trace identity: every span of the job lifecycle carries trace;
-	// root is the preallocated ID of the "job" span (emitted only when
-	// the job finishes, so lifecycle spans can parent to it up front),
-	// parentSpan the submit request's "http" span, cellSpans the
-	// preallocated per-cell span IDs. startNs stamps acceptance on the
-	// otrace monotonic clock (opens the "total" phase).
-	trace      otrace.TraceID
-	root       otrace.SpanID
-	parentSpan otrace.SpanID
-	cellSpans  []otrace.SpanID
-	startNs    int64
+	// cellSpans are the preallocated per-cell span IDs.
+	cellSpans []otrace.SpanID
 
-	ctx    context.Context
-	cancel context.CancelFunc
-
-	mu       sync.Mutex
-	state    string
-	created  time.Time
-	finished time.Time
-	cells    []CellStatus
-	results  []wsrs.Result
-	err      string
-	events   []Event
-	changed  chan struct{} // closed and replaced on every append
-	phaseNs  map[string]int64
+	cells   []CellStatus
+	results []wsrs.Result
+	phaseNs map[string]int64
 }
 
-func newJob(id string, parent context.Context, req *JobRequest, ids []CellID, tr *otrace.Recorder, rctx otrace.Ctx) *job {
-	ctx, cancel := context.WithCancel(parent)
-	trace := rctx.Trace
-	if trace == 0 {
-		trace = tr.NewTrace()
-	}
+// newJob builds the record of ids, started under parent in trace
+// context tc.
+func newJob(id, label string, parent context.Context, ids []CellID, tr *otrace.Recorder, tc otrace.Ctx) *job {
 	j := &job{
-		id: id, label: req.Label,
-		trace:      trace,
-		root:       tr.AllocID(),
-		parentSpan: rctx.Span,
-		cellSpans:  make([]otrace.SpanID, len(ids)),
-		startNs:    otrace.Now(),
-		ctx:        ctx, cancel: cancel,
-		state:   StateQueued,
-		created: time.Now(),
-		cells:   make([]CellStatus, len(ids)),
-		results: make([]wsrs.Result, len(ids)),
-		changed: make(chan struct{}),
-		phaseNs: make(map[string]int64, len(PhaseNames)),
+		cellSpans: make([]otrace.SpanID, len(ids)),
+		cells:     make([]CellStatus, len(ids)),
+		results:   make([]wsrs.Result, len(ids)),
+		phaseNs:   make(map[string]int64, len(PhaseNames)),
 	}
+	j.init(id, label, parent, tr, tc)
 	for i, id := range ids {
 		j.cells[i] = CellStatus{Index: i, Cell: id, Digest: id.Digest(), State: StateQueued}
 		j.cellSpans[i] = tr.AllocID()
 	}
 	return j
 }
-
-// rootCtx is the context that parents lifecycle spans to the job's
-// (future) root span.
-func (j *job) rootCtx() otrace.Ctx { return otrace.Ctx{Trace: j.trace, Span: j.root} }
 
 // cellCtx is the context that parents per-cell spans to cell i's
 // (future) cell span.
@@ -352,6 +316,15 @@ func (j *job) status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.statusLocked()
+}
+
+// view is the job's JSON status; the list stays cheap without cells.
+func (j *job) view(list bool) any {
+	st := j.status()
+	if list {
+		st.Cells = nil
+	}
+	return st
 }
 
 func (j *job) statusLocked() JobStatus {
@@ -396,52 +369,16 @@ func (j *job) resolveCell(i int, disposition string, res wsrs.Result, wall time.
 		c.Cycles = res.Cycles
 		j.results[i] = res
 	}
-	ev := Event{Type: "cell", Cell: &j.cells[i]}
-	j.appendEventLocked(ev)
+	j.appendLocked(Event{Type: "cell", Cell: &j.cells[i]})
 	j.mu.Unlock()
 }
 
-// finish moves the job to a terminal state and emits the job event.
-func (j *job) finish(state, errMsg string) {
-	j.mu.Lock()
-	if j.state == StateDone || j.state == StateFailed || j.state == StateCanceled {
-		j.mu.Unlock()
-		return
-	}
-	j.state = state
-	j.err = errMsg
-	j.finished = time.Now()
-	st := j.statusLocked()
-	j.appendEventLocked(Event{Type: "job", Job: &st})
-	j.mu.Unlock()
-	j.cancel()
-}
-
-func (j *job) setRunning() {
-	j.mu.Lock()
-	if j.state == StateQueued {
-		j.state = StateRunning
-	}
-	j.mu.Unlock()
-}
-
-func (j *job) appendEventLocked(ev Event) {
-	j.events = append(j.events, ev)
-	close(j.changed)
-	j.changed = make(chan struct{})
-}
-
-// eventsSince returns the events after cursor plus the channel that
-// closes on the next append, so a streaming handler can replay then
-// follow without polling.
-func (j *job) eventsSince(cursor int) ([]Event, chan struct{}, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	terminal := j.state == StateDone || j.state == StateFailed || j.state == StateCanceled
-	if cursor >= len(j.events) {
-		return nil, j.changed, terminal
-	}
-	return append([]Event(nil), j.events[cursor:]...), j.changed, terminal
+// end moves the job to a terminal state and emits the job event.
+func (j *job) end(state, errMsg string) {
+	j.finish(state, errMsg, func() Event {
+		st := j.statusLocked()
+		return Event{Type: "job", Job: &st}
+	})
 }
 
 // snapshotResults copies the per-cell results in cell order.

@@ -116,10 +116,6 @@ func (s *Server) observePhase(phase string, d time.Duration) {
 // initMetrics registers the families up front so a scrape before the
 // first job already shows every series.
 func (s *Server) initMetrics() {
-	for _, outcome := range []string{"done", "failed", "canceled", "rejected", "invalid"} {
-		s.reg.Counter(mJobs+telemetry.Labels("outcome", outcome), helpJobs)
-	}
-	s.reg.Gauge(mJobsActive, helpJobsActive)
 	s.reg.Gauge(mPending, helpPending)
 	s.reg.Counter(mSims, helpSims)
 	s.reg.Histogram(mSimMs, helpSimMs)
@@ -143,6 +139,9 @@ func (s *Server) initMetrics() {
 	s.reg.Gauge(mCacheEntries, helpCacheEntries).Set(int64(s.cache.Len()))
 	s.reg.Gauge(mTraceSpans, helpTraceSpans)
 	s.reg.Counter(mTraceEvicted, helpTraceEvict)
+	for _, d := range []string{"evaluated", "pruned"} {
+		s.reg.Counter(mExplorePoints+telemetry.Labels("disposition", d), helpExplorePoints)
+	}
 
 	// The SLO layer: one histogram + good/breach counters + burn-rate
 	// gauge per phase, with the targets themselves recorded as gauges

@@ -9,11 +9,13 @@
 //     Prometheus exposition, /manifest, /debug/vars, /debug/pprof)
 //     that cmd/wsrsbench -listen serves, optionally extended with the
 //     job API below.
-//   - Server (server.go, job.go): the wsrsd daemon core — a job API
-//     (POST /v1/jobs, GET /v1/jobs/{id}, GET /v1/jobs/{id}/events,
-//     DELETE /v1/jobs/{id}) over a bounded worker pool layered on
-//     wsrs.RunGrid, with admission control (queue cap, 429 +
-//     Retry-After) and graceful drain.
+//   - Server (server.go, lifecycle.go, job.go, explore.go): the wsrsd
+//     daemon core — one job model with two kinds, cell grids
+//     (POST /v1/jobs) and design-space explorations (POST
+//     /v1/explore), each with GET/DELETE {id} and a GET {id}/events
+//     stream, over a bounded worker pool layered on wsrs.RunGrid,
+//     with admission control (queue cap, 429 + Retry-After) and
+//     graceful drain.
 //   - Cache (cache.go): a content-addressed result store keyed by the
 //     sha256 digest of a cell's identity, generalizing the JSONL
 //     checkpoint store: in-memory LRU, optional JSONL persistence,

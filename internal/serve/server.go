@@ -200,10 +200,13 @@ func (f *flight) resolve(res wsrs.Result, err error, wall time.Duration) {
 	close(f.done)
 }
 
-// Server is the wsrsd daemon core: the job API over a bounded worker
-// pool layered on wsrs.RunGrid, the content-addressed result cache,
-// request coalescing, admission control and graceful drain. Build
-// with New, mount Handler, stop with Drain.
+// Server is the wsrsd daemon core: one job model over a bounded worker
+// pool layered on wsrs.RunGrid, with the content-addressed result
+// cache, request coalescing, admission control and graceful drain.
+// Jobs come in two kinds sharing that model (lifecycle.go): cell grids
+// (POST /v1/jobs) and design-space explorations (POST /v1/explore),
+// whose evaluation batches resolve cells through the same per-cell
+// loop as a grid. Build with New, mount Handler, stop with Drain.
 type Server struct {
 	opts  Options
 	reg   *telemetry.Registry
@@ -232,15 +235,9 @@ type Server struct {
 
 	mu      sync.Mutex
 	flights map[string]*flight
-	jobs    map[string]*job
-	order   []string
-	nextID  int
 
-	// Design-space exploration jobs (POST /v1/explore), kept separate
-	// from the cell-grid jobs: different lifecycle, same worker pool.
-	explores      map[string]*exploreJob
-	exploreOrder  []string
-	nextExploreID int
+	jobs     *table[*job]
+	explores *table[*exploreJob]
 }
 
 // New builds the daemon and starts its worker pool.
@@ -280,24 +277,29 @@ func New(o Options) (*Server, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		opts:     o,
-		reg:      reg,
-		cache:    cache,
-		tracer:   tracer,
-		fr:       fr,
-		process:  process,
-		phases:   newPhaseLog(o.PhaseSamples),
-		slow:     newSlowRing(o.SlowJobs),
-		log:      lg,
-		ctx:      ctx,
-		cancel:   cancel,
-		queue:    make(chan *cellTask, o.MaxQueuedCells+1),
-		flights:  map[string]*flight{},
-		jobs:     map[string]*job{},
-		explores: map[string]*exploreJob{},
+		opts:    o,
+		reg:     reg,
+		cache:   cache,
+		tracer:  tracer,
+		fr:      fr,
+		process: process,
+		phases:  newPhaseLog(o.PhaseSamples),
+		slow:    newSlowRing(o.SlowJobs),
+		log:     lg,
+		ctx:     ctx,
+		cancel:  cancel,
+		queue:   make(chan *cellTask, o.MaxQueuedCells+1),
+		flights: map[string]*flight{},
 	}
+	s.jobs = newTable[*job](s, kind{
+		route: "/v1/jobs", prefix: "j", noun: "job", what: "job", admission: "admission",
+		active: reg.Gauge(mJobsActive, helpJobsActive),
+	}, mJobs, helpJobs)
+	s.explores = newTable[*exploreJob](s, kind{
+		route: "/v1/explore", prefix: "x", noun: "explore", what: "explore job", admission: "explore.admission",
+		active: reg.Gauge(mExploreActive, helpExploreActive),
+	}, mExploreJobs, helpExploreJobs)
 	s.initMetrics()
-	s.initExploreMetrics()
 	for w := 0; w < o.Workers; w++ {
 		s.workerWG.Add(1)
 		go func(worker int) {
@@ -336,24 +338,16 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /readyz", s.handleReady)
-	mux.HandleFunc("POST /v1/jobs", s.instrument("/v1/jobs", s.handleSubmit))
-	mux.HandleFunc("GET /v1/jobs", s.instrument("/v1/jobs", s.handleList))
-	mux.HandleFunc("GET /v1/jobs/{id}", s.instrument("/v1/jobs/{id}", s.handleGet))
-	mux.HandleFunc("GET /v1/jobs/{id}/results", s.instrument("/v1/jobs/{id}/results", s.handleResults))
-	mux.HandleFunc("GET /v1/jobs/{id}/trace", s.instrument("/v1/jobs/{id}/trace", s.handleTrace))
-	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents) // streams: latency histogram would lie
-	mux.HandleFunc("POST /v1/explore", s.instrument("/v1/explore", s.handleExploreSubmit))
-	mux.HandleFunc("GET /v1/explore", s.instrument("/v1/explore", s.handleExploreList))
-	mux.HandleFunc("GET /v1/explore/{id}", s.instrument("/v1/explore/{id}", s.handleExploreGet))
-	mux.HandleFunc("GET /v1/explore/{id}/frontier", s.instrument("/v1/explore/{id}/frontier", s.handleExploreFrontier))
-	mux.HandleFunc("GET /v1/explore/{id}/events", s.handleExploreEvents) // streams
-	mux.HandleFunc("DELETE /v1/explore/{id}", s.instrument("/v1/explore/{id}", s.handleExploreCancel))
+	s.jobs.mount(mux, s.handleSubmit)
+	mux.HandleFunc("GET /v1/jobs/{id}/results", s.instrument("/v1/jobs/{id}/results", s.jobs.with(s.handleResults)))
+	mux.HandleFunc("GET /v1/jobs/{id}/trace", s.instrument("/v1/jobs/{id}/trace", s.jobs.with(s.handleTrace)))
+	s.explores.mount(mux, s.handleExploreSubmit)
+	mux.HandleFunc("GET /v1/explore/{id}/frontier", s.instrument("/v1/explore/{id}/frontier", s.explores.with(s.handleExploreFrontier)))
 	mux.HandleFunc("GET /v1/cache/{digest}", s.instrument("/v1/cache/{digest}", s.handleCacheFetch))
 	mux.HandleFunc("GET /v1/phases", s.instrument("/v1/phases", s.handlePhases))
 	mux.HandleFunc("GET /v1/traces/{trace}", s.instrument("/v1/traces/{trace}", s.handleTraceByID))
 	mux.HandleFunc("GET /debug/slow", s.handleSlow)
 	mux.HandleFunc("GET /debug/flightrecorder", s.handleFlightRecorder)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.instrument("/v1/jobs/{id}", s.handleCancel))
 	if s.opts.Fleet != nil {
 		mux.HandleFunc("GET /v1/fleet/metrics", s.instrument("/v1/fleet/metrics", s.handleFleetMetrics))
 		mux.HandleFunc("GET /v1/fleet/status", s.instrument("/v1/fleet/status", s.handleFleetStatus))
@@ -418,140 +412,34 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
+// handleSubmit admits a grid job: the request expands to its cells,
+// every cell within the MaxMeasure cap, and the job reserves one queue
+// slot per cell.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	// The admission span: decode, validation and the queue-room check,
-	// parented to the access-log middleware's http span so the whole
-	// decision shows up inside the request slice.
-	adm := s.tracer.Begin("admission", requestCtx(r))
-	outcome := "accepted"
-	defer func() {
-		adm.SetStr("outcome", outcome)
-		s.tracer.End(&adm)
-	}()
-
-	if s.draining.Load() {
-		outcome = "draining"
-		s.writeError(w, r, http.StatusServiceUnavailable,
-			ErrorEnvelope{Msg: "draining: not accepting new jobs"})
-		return
-	}
 	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		outcome = "invalid"
-		s.writeError(w, r, http.StatusBadRequest, ErrorEnvelope{Field: "body", Msg: err.Error()})
-		return
-	}
-	ids, err := req.expand()
-	if err != nil {
-		outcome = "invalid"
-		s.reg.Counter(mJobs+telemetry.Labels("outcome", "invalid"), helpJobs).Inc()
-		env := ErrorEnvelope{Msg: err.Error()}
-		var re *RequestError
-		if errors.As(err, &re) {
-			env = ErrorEnvelope{Msg: re.Msg, Field: re.Field, Valid: re.Valid}
+	var ids []CellID
+	s.jobs.admit(w, r, &req, func() (int, error) {
+		var err error
+		if ids, err = req.expand(); err != nil {
+			return 0, err
 		}
-		s.writeError(w, r, http.StatusBadRequest, env)
-		return
-	}
-	if s.opts.MaxMeasure > 0 {
 		for i, id := range ids {
-			if id.Measure > s.opts.MaxMeasure {
-				outcome = "invalid"
-				s.writeError(w, r, http.StatusBadRequest, ErrorEnvelope{
-					Field: fmt.Sprintf("cells[%d].measure", i),
-					Msg:   fmt.Sprintf("measure %d exceeds the server cap %d", id.Measure, s.opts.MaxMeasure)})
-				return
+			if s.opts.MaxMeasure > 0 && id.Measure > s.opts.MaxMeasure {
+				return 0, &RequestError{Field: fmt.Sprintf("cells[%d].measure", i),
+					Msg: fmt.Sprintf("measure %d exceeds the server cap %d", id.Measure, s.opts.MaxMeasure)}
 			}
 		}
-	}
-	// Admission control: reserve queue room for the whole job or
-	// reject it now, before any state is created.
-	if err := s.reservePending(len(ids)); err != nil {
-		outcome = "rejected"
-		s.reg.Counter(mJobs+telemetry.Labels("outcome", "rejected"), helpJobs).Inc()
-		w.Header().Set("Retry-After", "1")
-		s.writeError(w, r, http.StatusTooManyRequests, ErrorEnvelope{
-			Msg: "queue full", Pending: s.pending.Load(), QueueCap: s.opts.MaxQueuedCells})
-		return
-	}
-
-	s.mu.Lock()
-	s.nextID++
-	// The job inherits the request's trace, so the submit http span,
-	// the admission span and the whole job lifecycle share one trace.
-	j := newJob(fmt.Sprintf("j-%06d", s.nextID), s.ctx, &req, ids, s.tracer, requestCtx(r))
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	s.evictJobsLocked()
-	s.mu.Unlock()
-	adm.SetStr("job_id", j.id)
-
-	s.reg.Gauge(mJobsActive, helpJobsActive).Add(1)
-	s.jobWG.Add(1)
-	go s.runJob(j, ids)
-
-	s.log.LogAttrs(r.Context(), slog.LevelInfo, "job accepted",
-		slog.String("job_id", j.id),
-		slog.String("trace_id", otrace.FormatTraceID(j.trace)),
-		slog.String("label", j.label),
-		slog.Int("cells", len(ids)))
-
-	st := j.status()
-	w.Header().Set("Location", "/v1/jobs/"+j.id)
-	writeJSON(w, http.StatusAccepted, st)
-}
-
-// evictJobsLocked trims the oldest terminal jobs past the history cap.
-func (s *Server) evictJobsLocked() {
-	for len(s.order) > s.opts.KeepJobs {
-		id := s.order[0]
-		j := s.jobs[id]
-		st := j.status()
-		if st.State != StateDone && st.State != StateFailed && st.State != StateCanceled {
-			return // oldest job still live; keep the history until it settles
-		}
-		s.order = s.order[1:]
-		delete(s.jobs, id)
-	}
-}
-
-func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) *job {
-	s.mu.Lock()
-	j := s.jobs[r.PathValue("id")]
-	s.mu.Unlock()
-	if j == nil {
-		s.writeError(w, r, http.StatusNotFound,
-			ErrorEnvelope{Msg: fmt.Sprintf("no such job %q", r.PathValue("id"))})
-	}
-	return j
-}
-
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	out := make([]JobStatus, 0, len(s.order))
-	for _, id := range s.order {
-		st := s.jobs[id].status()
-		st.Cells = nil // the list stays cheap; GET the job for cells
-		out = append(out, st)
-	}
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	if j := s.lookupJob(w, r); j != nil {
-		writeJSON(w, http.StatusOK, j.status())
-	}
+		return len(ids), nil
+	}, func(id string, tc otrace.Ctx) (*job, []slog.Attr) {
+		return newJob(id, req.Label, s.ctx, ids, s.tracer, tc),
+			[]slog.Attr{slog.String("label", req.Label), slog.Int("cells", len(ids))}
+	})
 }
 
 // handleResults serves the raw per-cell wsrs.Result slice in cell
 // order — the byte-identical counterpart of a direct RunGrid call
 // (asserted by TestJobResultsMatchRunGrid).
-func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
-	j := s.lookupJob(w, r)
-	if j == nil {
-		return
-	}
+func (s *Server) handleResults(w http.ResponseWriter, r *http.Request, j *job) {
 	st := j.status()
 	if st.State != StateDone {
 		s.writeError(w, r, http.StatusConflict, ErrorEnvelope{
@@ -580,70 +468,67 @@ func (s *Server) handleCacheFetch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, res)
 }
 
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j := s.lookupJob(w, r)
-	if j == nil {
-		return
-	}
-	j.cancel()
-	writeJSON(w, http.StatusOK, j.status())
-}
-
-// handleEvents streams the job's event log as server-sent events:
-// every recorded event replays immediately, then the stream follows
-// live until the job reaches a terminal state or the client leaves.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j := s.lookupJob(w, r)
-	if j == nil {
-		return
-	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusNotImplemented)
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	cursor := 0
-	for {
-		events, changed, terminal := j.eventsSince(cursor)
-		for _, ev := range events {
-			data, err := json.Marshal(ev)
-			if err != nil {
-				return
-			}
-			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, data)
-		}
-		cursor += len(events)
-		fl.Flush()
-		if terminal && len(events) == 0 {
-			return
-		}
-		if len(events) > 0 {
-			continue // drain the log before blocking
-		}
-		select {
-		case <-changed:
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
-// runJob resolves every cell of one accepted job: cache hits
-// immediately, duplicates of in-flight cells by subscribing to their
-// flight, the rest through the shared worker pool; per-cell events
-// fire as each resolves, in completion order.
-func (s *Server) runJob(j *job, ids []CellID) {
-	defer s.jobWG.Done()
-	defer s.reg.Gauge(mJobsActive, helpJobsActive).Add(-1)
+// run resolves every cell of an accepted job, settles its terminal
+// state and closes it: the total phase, its rank in the /debug/slow
+// ring, then the shared close path.
+func (j *job) run(s *Server) {
 	j.setRunning()
+	s.resolveCells(j)
 
+	st := j.status()
+	switch {
+	case j.ctx.Err() != nil && st.State != StateDone:
+		j.end(StateCanceled, "canceled")
+	case st.CellsFailed > 0:
+		msg := fmt.Sprintf("%d of %d cells failed", st.CellsFailed, st.CellsTotal)
+		for _, c := range st.Cells {
+			if c.Error != "" {
+				msg = fmt.Sprintf("%s; first: %s/%s: %s", msg, c.Cell.Kernel, c.Cell.Config, c.Error)
+				break
+			}
+		}
+		j.end(StateFailed, msg)
+	default:
+		j.end(StateDone, "")
+	}
+
+	endNs := otrace.Now()
+	total := time.Duration(endNs - j.startNs)
+	s.observePhase(PhaseTotal, total)
+	j.addPhase(PhaseTotal, total)
+	fin := j.status()
+	phaseMs := j.phaseMs()
+	s.slow.add(SlowJob{
+		JobID:    j.id,
+		TraceID:  otrace.FormatTraceID(j.trace),
+		Label:    j.label,
+		State:    fin.State,
+		Cells:    fin.CellsTotal,
+		TotalMs:  float64(total.Microseconds()) / 1000,
+		PhaseMs:  phaseMs,
+		Finished: time.Now(),
+	})
+	j.close(s, &s.jobs.kind, fin.State, endNs, func(root *otrace.Span) {
+		root.SetInt("cells", int64(fin.CellsTotal))
+		if j.label != "" {
+			root.SetStr("label", j.label)
+		}
+	}, slog.Int("cells", fin.CellsTotal), slog.Int("cells_failed", fin.CellsFailed), slog.Any("phase_ms", phaseMs))
+}
+
+// resolveCells is the one per-cell loop of both kinds: each cell of j
+// is served from the cache, joins an identical in-flight cell's flight,
+// or is queued on the shared worker pool, then waited on — or abandoned
+// when j is canceled — and returned to the admission budget. Per-cell
+// events fire as each resolves, in completion order; it returns once
+// every cell has.
+func (s *Server) resolveCells(j *job) {
 	var wg sync.WaitGroup
-	for i, id := range ids {
+	for i := range j.cells {
+		id, digest := j.cells[i].Cell, j.cells[i].Digest
 		cellStart := otrace.Now()
 		lookup := s.tracer.Begin("cache.lookup", j.cellCtx(i))
-		res, hit := s.cache.Get(j.cells[i].Digest)
+		res, hit := s.cache.Get(digest)
 		lookup.SetBool("hit", hit)
 		s.tracer.End(&lookup)
 		cacheDur := time.Duration(lookup.Dur())
@@ -656,7 +541,6 @@ func (s *Server) runJob(j *job, ids []CellID) {
 			s.cellDone()
 			continue
 		}
-		digest := j.cells[i].Digest
 		fl, coalesced := s.acquireFlight(id, digest, j.cellCtx(i), j)
 		disposition := CacheMiss
 		var waitSpan otrace.Span
@@ -693,75 +577,15 @@ func (s *Server) runJob(j *job, ids []CellID) {
 		}(i, fl, disposition, waitSpan, cellStart)
 	}
 	wg.Wait()
-
-	st := j.status()
-	switch {
-	case j.ctx.Err() != nil && st.State != StateDone:
-		j.finish(StateCanceled, "canceled")
-		s.reg.Counter(mJobs+telemetry.Labels("outcome", "canceled"), helpJobs).Inc()
-	case st.CellsFailed > 0:
-		msg := fmt.Sprintf("%d of %d cells failed", st.CellsFailed, st.CellsTotal)
-		for _, c := range st.Cells {
-			if c.Error != "" {
-				msg = fmt.Sprintf("%s; first: %s/%s: %s", msg, c.Cell.Kernel, c.Cell.Config, c.Error)
-				break
-			}
-		}
-		j.finish(StateFailed, msg)
-		s.reg.Counter(mJobs+telemetry.Labels("outcome", "failed"), helpJobs).Inc()
-	default:
-		j.finish(StateDone, "")
-		s.reg.Counter(mJobs+telemetry.Labels("outcome", "done"), helpJobs).Inc()
-	}
-
-	// Close the trace: emit the root "job" span retroactively under its
-	// preallocated ID (every lifecycle span already parents to it),
-	// record the total phase, rank the job in the /debug/slow ring, and
-	// log the outcome with its phase decomposition.
-	endNs := otrace.Now()
-	total := time.Duration(endNs - j.startNs)
-	s.observePhase(PhaseTotal, total)
-	j.addPhase(PhaseTotal, total)
-	fin := j.status()
-	root := s.tracer.Make("job", otrace.Ctx{Trace: j.trace, Span: j.parentSpan}, j.startNs, endNs)
-	root.ID = j.root
-	root.SetStr("job_id", j.id)
-	root.SetStr("state", fin.State)
-	root.SetInt("cells", int64(fin.CellsTotal))
-	if j.label != "" {
-		root.SetStr("label", j.label)
-	}
-	s.tracer.Append(&root)
-	s.syncTraceMetrics()
-	phaseMs := j.phaseMs()
-	s.slow.add(SlowJob{
-		JobID:    j.id,
-		TraceID:  otrace.FormatTraceID(j.trace),
-		Label:    j.label,
-		State:    fin.State,
-		Cells:    fin.CellsTotal,
-		TotalMs:  float64(total.Microseconds()) / 1000,
-		PhaseMs:  phaseMs,
-		Finished: time.Now(),
-	})
-	s.log.LogAttrs(context.Background(), slog.LevelInfo, "job finished",
-		slog.String("job_id", j.id),
-		slog.String("trace_id", otrace.FormatTraceID(j.trace)),
-		slog.String("state", fin.State),
-		slog.Int("cells", fin.CellsTotal),
-		slog.Int("cells_failed", fin.CellsFailed),
-		slog.Float64("total_ms", float64(total.Microseconds())/1000),
-		slog.Any("phase_ms", phaseMs))
 }
 
 // acquireFlight subscribes to the in-flight simulation for digest,
 // creating and enqueueing a fresh flight when no identical cell is
-// already running (singleflight). The caller — runJob for the job
-// API, the explore evaluator for design-space searches — waits on the
-// returned flight's done channel. coalesced reports whether an
+// already running (singleflight). The caller, resolveCells, waits on
+// the returned flight's done channel. coalesced reports whether an
 // existing flight was joined. The new flight carries tctx (the
 // queue-wait and simulate spans parent there) and owner (its phase
-// decomposition absorbs their durations; nil is fine).
+// decomposition absorbs their durations).
 func (s *Server) acquireFlight(id CellID, digest string, tctx otrace.Ctx, owner *job) (*flight, bool) {
 	s.mu.Lock()
 	fl, coalesced := s.flights[digest]
@@ -840,9 +664,7 @@ func (s *Server) runFlight(t *cellTask, worker int) {
 	s.tracer.Append(&qsp)
 	queueDur := time.Duration(qsp.Dur())
 	s.observePhase(PhaseQueue, queueDur)
-	if t.fl.owner != nil {
-		t.fl.owner.addPhase(PhaseQueue, queueDur)
-	}
+	t.fl.owner.addPhase(PhaseQueue, queueDur)
 
 	// A context that dies with the daemon or with the flight's last
 	// waiter, for the remote legs (peer fetch, delegated runner).
@@ -947,9 +769,7 @@ func (s *Server) runFlight(t *cellTask, worker int) {
 		s.fr.Snapshot(failureReason(err), t.digest, err.Error())
 	}
 	s.observePhase(PhaseSimulate, wall)
-	if t.fl.owner != nil {
-		t.fl.owner.addPhase(PhaseSimulate, wall)
-	}
+	t.fl.owner.addPhase(PhaseSimulate, wall)
 	if err == nil {
 		s.reg.Counter(mCacheStores, helpCacheStores).Inc()
 		s.cache.Put(t.id, res)

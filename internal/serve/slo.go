@@ -4,6 +4,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"wsrs/internal/ring"
 )
 
 // The lifecycle phases the daemon decomposes a job into. Every phase
@@ -69,34 +71,23 @@ type PhasePage struct {
 }
 
 // phaseLog is the bounded append-only sample log behind /v1/phases: a
-// preallocated ring with a monotone cursor, so the append path (one
-// per phase observation) allocates nothing.
+// preallocated ring whose arrival numbers are the page cursor, so the
+// append path (one per phase observation) allocates nothing.
 type phaseLog struct {
-	mu    sync.Mutex
-	ring  []PhaseSample
-	next  int
-	total uint64
+	mu      sync.Mutex
+	samples ring.Ring[PhaseSample]
 }
 
 func newPhaseLog(cap int) *phaseLog {
 	if cap <= 0 {
 		cap = 8192
 	}
-	return &phaseLog{ring: make([]PhaseSample, 0, cap)}
+	return &phaseLog{samples: ring.New[PhaseSample](cap)}
 }
 
 func (l *phaseLog) add(phase string, us int64) {
 	l.mu.Lock()
-	if len(l.ring) < cap(l.ring) {
-		l.ring = append(l.ring, PhaseSample{Phase: phase, Us: us})
-	} else {
-		l.ring[l.next] = PhaseSample{Phase: phase, Us: us}
-	}
-	l.next++
-	if l.next == cap(l.ring) {
-		l.next = 0
-	}
-	l.total++
+	l.samples.Add(PhaseSample{Phase: phase, Us: us})
 	l.mu.Unlock()
 }
 
@@ -104,22 +95,15 @@ func (l *phaseLog) add(phase string, us int64) {
 func (l *phaseLog) page(since uint64) PhasePage {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	p := PhasePage{Next: l.total}
-	if since >= l.total {
+	total := l.samples.Total()
+	p := PhasePage{Next: total}
+	if since >= total {
 		return p
 	}
-	oldest := l.total - uint64(len(l.ring))
-	if since < oldest {
+	if oldest := total - uint64(l.samples.Len()); since < oldest {
 		p.Dropped = oldest - since
-		since = oldest
 	}
-	// Ring position of global index i is i % cap once wrapped; while
-	// filling, position equals index.
-	n := int(l.total - since)
-	p.Samples = make([]PhaseSample, 0, n)
-	for g := since; g < l.total; g++ {
-		p.Samples = append(p.Samples, l.ring[int(g%uint64(cap(l.ring)))])
-	}
+	p.Samples = l.samples.Copy(since)
 	return p
 }
 

@@ -17,11 +17,7 @@ import (
 // body is the otrace document; ?format=chrome renders the same spans
 // as Chrome trace-event JSON that loads directly into Perfetto, with
 // lifecycle spans and worker-pool spans on separate process tracks.
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	j := s.lookupJob(w, r)
-	if j == nil {
-		return
-	}
+func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request, j *job) {
 	spans := s.tracer.TraceSpans(j.trace)
 	linked := map[otrace.TraceID]bool{j.trace: true}
 	for i := range spans {
