@@ -24,7 +24,7 @@ BENCH_PKGS = . ./internal/rename ./internal/wakeup ./internal/bypass \
 
 # bench reruns the BenchmarkCore* hot-path microbenchmarks (rename map
 # lookup, wake-up broadcast pricing, bypass arbitration, counter
-# increments, metered vs plain pipeline, grid dispatch) and rewrites
+# increments, the pipeline hot loop, grid dispatch) and rewrites
 # the committed baseline at the repository root.
 bench:
 	$(GO) test $(BENCH_FLAGS) $(BENCH_PKGS) \

@@ -10,22 +10,20 @@ import (
 
 // cellKey identifies one grid cell for checkpoint resume. It covers
 // everything that determines the cell's result and can be named: the
-// cell's position and identity, the effective seed and the run
-// windows. MachineOption modifiers are opaque functions, so only
-// their count participates — callers changing a Mod in place should
-// start a fresh checkpoint file.
+// model version, the cell's position and identity, the effective seed
+// and the run windows. MachineOption modifiers are opaque functions,
+// so only their count participates — callers changing a Mod in place
+// should start a fresh checkpoint file.
 func cellKey(index int, c GridCell, opts SimOpts) string {
 	o := opts.withDefaults()
 	seed := o.Seed
 	if c.Seed != 0 {
 		seed = c.Seed
 	}
-	key := fmt.Sprintf("%d|%s|%s|%s|%d|%d|%d|%d",
-		index, c.Kernel, c.Config, c.Policy, len(c.Mods),
+	key := fmt.Sprintf("m%d|%d|%s|%s|%s|%d|%d|%d|%d",
+		ModelVersion, index, c.Kernel, c.Config, c.Policy, len(c.Mods),
 		o.WarmupInsts, o.MeasureInsts, seed)
 	if c.ModsKey != "" {
-		// Appended only when present so checkpoints written before
-		// named mods existed keep resuming under their old keys.
 		key += "|" + c.ModsKey
 	}
 	return key
@@ -44,7 +42,8 @@ type checkpointRecord struct {
 type checkpoint struct {
 	mu   sync.Mutex
 	done map[string]Result
-	f    *os.File
+	f    *os.File // nil once an append failed
+	err  error    // first append failure, returned by close
 }
 
 // openCheckpoint loads an existing checkpoint file (tolerating a torn
@@ -80,9 +79,10 @@ func (c *checkpoint) lookup(key string) (Result, bool) {
 	return res, ok
 }
 
-// record appends one finished cell. Write errors are surfaced on
-// close so a full disk does not fail an otherwise healthy grid
-// mid-flight.
+// record appends one finished cell. The first write error (disk
+// full, short write) closes the append stream — a torn line is never
+// extended into a plausible-looking record — and is returned by close,
+// so a sick disk does not fail an otherwise healthy grid mid-flight.
 func (c *checkpoint) record(key string, res Result) {
 	line, err := json.Marshal(checkpointRecord{Key: key, Result: res})
 	if err != nil {
@@ -91,11 +91,23 @@ func (c *checkpoint) record(key string, res Result) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.done[key] = res
-	c.f.Write(append(line, '\n'))
+	if c.f == nil {
+		return
+	}
+	if _, err := c.f.Write(append(line, '\n')); err != nil {
+		c.err = err
+		_ = c.f.Close()
+		c.f = nil
+	}
 }
 
+// close closes the append stream and returns the first write error.
 func (c *checkpoint) close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.f.Close()
+	if c.f != nil {
+		c.err = c.f.Close()
+		c.f = nil
+	}
+	return c.err
 }

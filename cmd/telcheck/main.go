@@ -33,7 +33,7 @@ func main() {
 	spans := flag.String("spans", "", "validate this otrace span document (wsrsbench -spans or GET /v1/jobs/{id}/trace)")
 	fleetTrace := flag.String("fleet-trace", "", "validate this stitched multi-process trace document (coordinator GET /v1/jobs/{id}/trace)")
 	exploreDoc := flag.String("explore", "", "validate this explore frontier document (wsrsexplore -out or GET /v1/explore/{id}/frontier)")
-	requireActivity := flag.Bool("require-activity", false, "fail if the manifest lacks aggregated activity counts (telemetry was off)")
+	requireActivity := flag.Bool("require-activity", false, "fail if the manifest lacks aggregated activity counts")
 	requireSpan := flag.String("require-span", "", "comma-separated span names the document must contain (e.g. job,cell,simulate)")
 	requireProcesses := flag.Int("require-processes", 2, "fleet-trace: minimum live process tracks with spans")
 	allowFailed := flag.Bool("allow-failed", false, "tolerate failed cells in the manifest")
@@ -126,7 +126,7 @@ func checkManifest(path string, requireActivity, allowFailed bool) {
 		fatalf("%s: manifest has no counter snapshot", path)
 	}
 	if requireActivity && m.Activity["wakeup_events"] == 0 {
-		fatalf("%s: no aggregated activity counts (was the grid run with telemetry?)", path)
+		fatalf("%s: no aggregated activity counts", path)
 	}
 	fmt.Printf("telcheck: manifest %s: %d cells, %d failed, digest %s...\n",
 		path, m.CellsTotal, failed, m.ConfigDigest[:12])

@@ -42,7 +42,6 @@ func main() {
 	kernelCSV := flag.String("kernels", "", "comma-separated benchmark subset (default: all 12)")
 	parallel := flag.Int("parallel", 0, "simulation worker goroutines (0 = GOMAXPROCS, 1 = serial)")
 	stats := flag.Bool("stats", false, "append per-cell wall time and stall-stack columns to figure4")
-	telFlag := flag.Bool("telemetry", false, "count dynamic activity in every cell (adds the pJ/inst column to -stats tables)")
 	progress := flag.Bool("progress", false, "print one line per completed grid cell to stderr (cell, IPC, wall time, trace cache state)")
 	listen := flag.String("listen", "", "serve the live run endpoint (/metrics, /manifest, /debug/vars, /debug/pprof) on this address, e.g. :8080")
 	linger := flag.Duration("linger", 0, "keep the -listen endpoint alive this long after the experiments finish")
@@ -74,7 +73,6 @@ func main() {
 		Seed:         *seed,
 		Parallelism:  *parallel,
 		Stats:        *stats,
-		Telemetry:    *telFlag || *exp == "energy",
 		Check:        *checkFlag,
 		MaxCycles:    *maxCycles,
 		Checkpoint:   *resume,

@@ -49,7 +49,6 @@ func main() {
 	watchdog := flag.Int64("watchdog", 0, "forward-progress watchdog window in cycles (0 = default 200000)")
 	auditEvery := flag.Int64("audit-every", 0, "structural-audit cadence in cycles (0 = default 1024, negative disables)")
 	stats := flag.Bool("stats", false, "print the commit-slot stall stack, dispatch-stall refinement and occupancy histograms")
-	telemetry := flag.Bool("telemetry", false, "count dynamic activity (RF ports, wake-up broadcasts, bypass transfers) and print the per-event energy stack")
 	pipeview := flag.Bool("pipeview", false, "print a per-micro-op pipeline timeline (Konata-style text) of the measured window")
 	events := flag.String("events", "", "write per-micro-op lifecycle events as JSONL to this file")
 	traceOut := flag.String("trace", "", "write a Chrome trace (Perfetto-loadable) of the measured pipeline window to this file")
@@ -108,7 +107,6 @@ func main() {
 		}
 		opts.Inject = fault
 	}
-	opts.Telemetry = *telemetry
 	var prb *wsrs.Probe
 	if *stats || *pipeview || *events != "" || *traceOut != "" {
 		prb = wsrs.NewProbe(wsrs.ProbeOptions{
@@ -160,9 +158,7 @@ func main() {
 	if *checkFlag {
 		fmt.Println("self-check            passed (oracle, legality checks, structural audits)")
 	}
-	if *telemetry {
-		printEnergy(conf, res)
-	}
+	printEnergy(conf, res)
 
 	if prb != nil {
 		report(prb, *stats, *pipeview, *events, *traceOut)
@@ -180,13 +176,10 @@ func main() {
 	}
 }
 
-// printEnergy renders the activity counts and the priced dynamic
-// energy stack of a telemetry-enabled run.
+// printEnergy renders the run's activity counts and its priced
+// dynamic energy stack.
 func printEnergy(conf wsrs.ConfigName, r wsrs.Result) {
-	a := r.Activity
-	if a == nil {
-		return
-	}
+	a := &r.Activity
 	fmt.Println()
 	fmt.Printf("activity (measured window)\n")
 	fmt.Printf("  RF reads / writes    %d / %d  (per subset: reads %v, writes %v)\n",

@@ -8,8 +8,9 @@ import (
 )
 
 // The differential suite locks the allocation-free core down from the
-// outside: every observation layer (probe, stats, self-check,
-// telemetry) must be invisible to the timing model, engine re-use
+// outside: every optional observation layer (probe, stats, self-check)
+// must be invisible to the timing model and to the always-on activity
+// counts, engine re-use
 // through the sync.Pool must be invisible to repeated runs, and the
 // headline statistics of the whole kernel × configuration grid are
 // pinned byte-for-byte in testdata/differential.golden. A change that
@@ -21,11 +22,11 @@ import (
 // the comparisons is deterministic at a fixed seed.
 var diffOpts = SimOpts{WarmupInsts: 1000, MeasureInsts: 4000, Seed: 1}
 
-// stripObservers drops the observation payloads (present only in the
-// modes that request them) so Results can be compared structurally.
+// stripObservers drops the stall stack (present only in the modes
+// that request it) so Results, activity counts included, can be
+// compared structurally.
 func stripObservers(r Result) Result {
 	r.Stalls = nil
-	r.Activity = nil
 	return r
 }
 
@@ -41,8 +42,7 @@ var diffModes = []struct {
 	{"stats", func(o *SimOpts) { o.Stats = true }},
 	{"probe", func(o *SimOpts) { o.Probe = NewProbe(ProbeOptions{Events: true, Stalls: true, Occupancy: true}) }},
 	{"check", func(o *SimOpts) { o.Check = true }},
-	{"telemetry", func(o *SimOpts) { o.Telemetry = true }},
-	{"all", func(o *SimOpts) { o.Stats, o.Check, o.Telemetry = true, true, true }},
+	{"all", func(o *SimOpts) { o.Stats, o.Check = true, true }},
 }
 
 // TestDifferentialGrid sweeps every kernel × configuration cell,
@@ -64,7 +64,7 @@ func TestDifferentialGrid(t *testing.T) {
 			case "gzip", "mcf", "wupwise":
 			default:
 				modes = modes[:0:0]
-				modes = append(modes, diffModes[1], diffModes[4], diffModes[6])
+				modes = append(modes, diffModes[1], diffModes[4], diffModes[5])
 			}
 			for _, m := range modes {
 				opts := diffOpts
@@ -76,8 +76,8 @@ func TestDifferentialGrid(t *testing.T) {
 				if opts.Stats && got.Stalls == nil {
 					t.Errorf("%s/%s [%s]: stats mode returned no stall stack", kernel, conf, m.name)
 				}
-				if opts.Telemetry && got.Activity == nil {
-					t.Errorf("%s/%s [%s]: telemetry mode returned no activity block", kernel, conf, m.name)
+				if got.Activity.RegWriteTotal() == 0 {
+					t.Errorf("%s/%s [%s]: result carries no activity counts", kernel, conf, m.name)
 				}
 				if !reflect.DeepEqual(stripObservers(got), stripObservers(base)) {
 					t.Errorf("%s/%s [%s]: result differs from plain run\n got: %+v\nwant: %+v",
@@ -94,7 +94,7 @@ func TestDifferentialGrid(t *testing.T) {
 
 // TestDifferentialPolicySeeds crosses every allocation policy with
 // several seeds on the 512-register WSRS machine and asserts the
-// checked and telemetry-enabled runs are identical to the plain ones.
+// checked and stats-probed runs are identical to the plain ones.
 // Seeded policies draw from their own RNG only, so cycle identity
 // must hold at every seed.
 func TestDifferentialPolicySeeds(t *testing.T) {
@@ -118,7 +118,7 @@ func TestDifferentialPolicySeeds(t *testing.T) {
 				mod  func(*SimOpts)
 			}{
 				{"check", func(o *SimOpts) { o.Check = true }},
-				{"telemetry", func(o *SimOpts) { o.Telemetry = true }},
+				{"stats", func(o *SimOpts) { o.Stats = true }},
 			} {
 				mo := diffOpts
 				m.mod(&mo)

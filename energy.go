@@ -50,10 +50,10 @@ type EnergyCell struct {
 	Stack  EnergyStack
 }
 
-// RunEnergy simulates every (kernel, configuration) pair with
-// telemetry enabled and prices each run's activity counts with its
-// configuration's energy model. Nil confs selects the Figure 4 set;
-// nil kernelNames selects all twelve benchmarks.
+// RunEnergy simulates every (kernel, configuration) pair and prices
+// each run's activity counts with its configuration's energy model.
+// Nil confs selects the Figure 4 set; nil kernelNames selects all
+// twelve benchmarks.
 func RunEnergy(confs []ConfigName, kernelNames []string, opts SimOpts) ([]EnergyCell, error) {
 	if confs == nil {
 		confs = Figure4Configs()
@@ -75,7 +75,6 @@ func RunEnergy(confs []ConfigName, kernelNames []string, opts SimOpts) ([]Energy
 		}
 		models[c] = m
 	}
-	opts.Telemetry = true
 	cells := make([]GridCell, 0, len(kernelNames)*len(confs))
 	for _, k := range kernelNames {
 		for _, c := range confs {
@@ -88,11 +87,8 @@ func RunEnergy(confs []ConfigName, kernelNames []string, opts SimOpts) ([]Energy
 	}
 	out := make([]EnergyCell, len(grid))
 	for i, g := range grid {
-		ec := EnergyCell{Kernel: g.Cell.Kernel, Config: g.Cell.Config, Result: g.Result}
-		if a := g.Result.Activity; a != nil {
-			ec.Stack = models[g.Cell.Config].Stack(a, g.Result.Insts)
-		}
-		out[i] = ec
+		out[i] = EnergyCell{Kernel: g.Cell.Kernel, Config: g.Cell.Config, Result: g.Result,
+			Stack: models[g.Cell.Config].Stack(&g.Result.Activity, g.Result.Insts)}
 	}
 	return out, nil
 }

@@ -130,13 +130,10 @@ func RenderFigure4Stats(w io.Writer, cells []Figure4Cell) {
 		"benchmark", "config", "IPC", "wall ms",
 		"commit", "mispred", "memory", "exec", "issue", "rename", "front", "pJ/inst")
 	for _, c := range cells {
-		// The energy column fills only for cells run with telemetry on
-		// (SimOpts.Telemetry); others render a dash.
+		// Configurations without an energy model render a dash.
 		energy := "-"
-		if a := c.Result.Activity; a != nil && c.Result.Insts > 0 {
-			if m, err := EnergyModelFor(c.Config); err == nil {
-				energy = fmt.Sprintf("%.1f", m.Stack(a, c.Result.Insts).TotalPJPerInst())
-			}
+		if m, err := EnergyModelFor(c.Config); err == nil && c.Result.Insts > 0 {
+			energy = fmt.Sprintf("%.1f", m.Stack(&c.Result.Activity, c.Result.Insts).TotalPJPerInst())
 		}
 		s := c.Result.Stalls
 		wall := fmt.Sprintf("%.1f", float64(c.Wall.Microseconds())/1000)

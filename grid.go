@@ -1,6 +1,7 @@
 package wsrs
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -201,8 +202,9 @@ func runCellSafe(c GridCell, opts SimOpts) (res Result, err error) {
 // byte-identical to the serial run for a fixed seed.
 //
 // The returned error is the first failure in cell order (nil if all
-// cells succeeded); the full result slice, including every per-cell
-// Err, is returned either way so callers can render partial grids.
+// cells succeeded), joined with the checkpoint's first write error if
+// one occurred; the full result slice, including every per-cell Err,
+// is returned either way so callers can render partial grids.
 func RunGrid(cells []GridCell, opts SimOpts, parallelism int) ([]GridResult, error) {
 	if opts.Probe != nil {
 		return nil, fmt.Errorf("wsrs: a probe cannot be shared across grid cells; set SimOpts.Stats instead")
@@ -217,7 +219,6 @@ func RunGrid(cells []GridCell, opts SimOpts, parallelism int) ([]GridResult, err
 		if err != nil {
 			return nil, err
 		}
-		defer ckpt.close()
 	}
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
@@ -274,7 +275,13 @@ func RunGrid(cells []GridCell, opts SimOpts, parallelism int) ([]GridResult, err
 		close(idx)
 		wg.Wait()
 	}
-	return out, gridError(out)
+	err := gridError(out)
+	if ckpt != nil {
+		if cerr := ckpt.close(); cerr != nil {
+			err = errors.Join(err, fmt.Errorf("wsrs: checkpoint: %w", cerr))
+		}
+	}
+	return out, err
 }
 
 // gridError summarizes a grid's failures: nil when every cell

@@ -167,8 +167,8 @@ type Outcome struct {
 // Evaluator runs a batch of cells, returning one outcome per cell in
 // order. Implementations must be deterministic in the results they
 // return (order and values); they are free to parallelize, cache or
-// distribute the work. Telemetry (activity counters) must be enabled —
-// the search prices energy from Result.Activity.
+// distribute the work. The search prices energy from Result.Activity,
+// which every run carries.
 type Evaluator interface {
 	Evaluate(ctx context.Context, cells []Cell, opts EvalOpts) ([]Outcome, error)
 }
@@ -197,7 +197,6 @@ func (e *LocalEvaluator) Evaluate(ctx context.Context, cells []Cell, opts EvalOp
 		WarmupInsts:  opts.Warmup,
 		MeasureInsts: opts.Measure,
 		Seed:         opts.Seed,
-		Telemetry:    true,
 		Parallelism:  e.Parallelism,
 		Checkpoint:   e.Checkpoint,
 		Cancel:       ctx.Done(),
@@ -350,10 +349,7 @@ func evaluate(ctx context.Context, r Request, kernels []string, cands []Candidat
 			if o.Err != nil {
 				return nil, fmt.Errorf("explore: point %s kernel %s: %w", c.Digest[:12], k, o.Err)
 			}
-			if o.Result.Activity == nil {
-				return nil, fmt.Errorf("explore: point %s kernel %s: no activity telemetry in result", c.Digest[:12], k)
-			}
-			stack := model.Stack(o.Result.Activity, o.Result.Insts)
+			stack := model.Stack(&o.Result.Activity, o.Result.Insts)
 			e.Kernels = append(e.Kernels, KernelEval{
 				Kernel:   k,
 				IPC:      o.Result.IPC,

@@ -464,12 +464,11 @@ func (c *Coordinator) attempt(ctx context.Context, primary, digest string, id se
 func (c *Coordinator) runOn(ctx context.Context, backend string, id serve.CellID) (wsrs.Result, error) {
 	client := c.clients[backend]
 	st, err := client.Submit(ctx, &serve.JobRequest{
-		Cells:     []serve.CellSpec{{Kernel: id.Kernel, Config: id.Config, Policy: id.Policy, Mods: id.Mods, Seed: id.Seed}},
-		Warmup:    id.Warmup,
-		Measure:   id.Measure,
-		Seed:      id.Seed,
-		Telemetry: id.Telemetry,
-		Label:     "fleet",
+		Cells:   []serve.CellSpec{{Kernel: id.Kernel, Config: id.Config, Policy: id.Policy, Mods: id.Mods, Seed: id.Seed}},
+		Warmup:  id.Warmup,
+		Measure: id.Measure,
+		Seed:    id.Seed,
+		Label:   "fleet",
 	})
 	if err != nil {
 		var ae *serve.APIError
@@ -523,7 +522,6 @@ func (c *Coordinator) runLocal(ctx context.Context, id serve.CellID) (wsrs.Resul
 		WarmupInsts:  id.Warmup,
 		MeasureInsts: id.Measure,
 		Seed:         id.Seed,
-		Telemetry:    id.Telemetry,
 		Cancel:       ctx.Done(),
 	}
 	cell := wsrs.GridCell{

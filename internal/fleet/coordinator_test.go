@@ -41,7 +41,7 @@ func localResults(t *testing.T, ids []serve.CellID) []wsrs.Result {
 		res, err := wsrs.RunGrid([]wsrs.GridCell{{
 			Kernel: id.Kernel, Config: wsrs.ConfigName(id.Config), Policy: id.Policy, Seed: id.Seed,
 		}}, wsrs.SimOpts{
-			WarmupInsts: id.Warmup, MeasureInsts: id.Measure, Seed: id.Seed, Telemetry: id.Telemetry,
+			WarmupInsts: id.Warmup, MeasureInsts: id.Measure, Seed: id.Seed,
 		}, 1)
 		if err != nil {
 			t.Fatalf("local cell %d: %v", i, err)

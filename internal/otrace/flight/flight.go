@@ -112,7 +112,10 @@ type Recorder struct {
 	written    int
 }
 
-// keepSnapshots bounds the in-memory snapshot history.
+// keepSnapshots bounds the in-memory snapshot history. Past it, the
+// oldest snapshot whose reason also has a newer one is dropped, so a
+// flood of one reason (a flapping backend ejected again and again)
+// never evicts the newest snapshot of another (the failed cell).
 const keepSnapshots = 16
 
 // New builds a flight recorder.
@@ -219,7 +222,7 @@ func (r *Recorder) Capture(reason, cellDigest, detail string, persist bool) *Sna
 	}
 	r.snapshots = append(r.snapshots, snap)
 	if len(r.snapshots) > keepSnapshots {
-		r.snapshots = r.snapshots[len(r.snapshots)-keepSnapshots:]
+		r.snapshots = evictSnapshot(r.snapshots)
 	}
 	r.mu.Unlock()
 
@@ -242,6 +245,23 @@ func (r *Recorder) Capture(reason, cellDigest, detail string, persist bool) *Sna
 		}
 	}
 	return snap
+}
+
+// evictSnapshot drops one snapshot from the history: the oldest whose
+// reason recurs later, or the oldest outright when every reason is
+// distinct.
+func evictSnapshot(snaps []*Snapshot) []*Snapshot {
+	victim := 0
+search:
+	for i, s := range snaps {
+		for _, later := range snaps[i+1:] {
+			if later.Reason == s.Reason {
+				victim = i
+				break search
+			}
+		}
+	}
+	return append(snaps[:victim], snaps[victim+1:]...)
 }
 
 // sanitize maps a reason to a filename-safe token.

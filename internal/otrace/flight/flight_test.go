@@ -81,6 +81,34 @@ func TestConcurrentRecordAndSnapshot(t *testing.T) {
 	}
 }
 
+// TestSnapshotHistoryKeepsEveryReason floods the history with one
+// reason after a single snapshot of another: the lone snapshot must
+// survive, as the newest of its reason, while the flood is trimmed to
+// the history bound.
+func TestSnapshotHistoryKeepsEveryReason(t *testing.T) {
+	r := newTest(t, Options{})
+	r.Capture("cell-failed", "abc", "", false)
+	for i := 0; i < 2*keepSnapshots; i++ {
+		r.Capture("backend-ejected", "", "", false)
+	}
+	snaps := r.Snapshots()
+	if len(snaps) != keepSnapshots {
+		t.Fatalf("history holds %d snapshots, want %d", len(snaps), keepSnapshots)
+	}
+	if snaps[0].Reason != "cell-failed" || snaps[0].CellDigest != "abc" {
+		t.Fatalf("oldest retained snapshot is %q, want the lone cell-failed one", snaps[0].Reason)
+	}
+	// The flood keeps its newest members, in order.
+	for i, s := range snaps[1:] {
+		if s.Reason != "backend-ejected" || (i > 0 && s.Seq != snaps[i].Seq+1) {
+			t.Fatalf("snapshot %d: reason %q seq %d after seq %d", i+1, s.Reason, s.Seq, snaps[i].Seq)
+		}
+	}
+	if last := snaps[len(snaps)-1].Seq; last != uint64(2*keepSnapshots+1) {
+		t.Fatalf("newest snapshot seq %d, want %d", last, 2*keepSnapshots+1)
+	}
+}
+
 func TestRecordAllocFree(t *testing.T) {
 	r := New(Options{Events: 512})
 	ev := Event{Kind: KindSim, Name: "cell", Digest: "abc", Value: 7}

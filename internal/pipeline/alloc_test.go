@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"wsrs/internal/alloc"
-	"wsrs/internal/telemetry"
+	"wsrs/internal/probe"
 	"wsrs/internal/trace"
 )
 
@@ -50,12 +50,12 @@ func TestAllocFreeEngineReuse(t *testing.T) {
 	}
 }
 
-// TestAllocFreeMeteredLoop holds the metered (telemetry-enabled)
-// cycle loop to the same budget: activity counting must be pure
-// arithmetic on a caller-owned block.
+// TestAllocFreeMeteredLoop holds the metered cycle loop — a stall
+// stack and occupancy probe attached — to the same budget: probe
+// accounting must be pure arithmetic on a caller-owned block.
 func TestAllocFreeMeteredLoop(t *testing.T) {
-	act := telemetry.NewActivity()
-	if avg := measureEngineAllocs(t, RunOpts{Activity: act}); avg > engineReuseAllocBudget {
+	p := probe.New(probe.Options{Stalls: true, Occupancy: true})
+	if avg := measureEngineAllocs(t, RunOpts{Probe: p}); avg > engineReuseAllocBudget {
 		t.Errorf("metered cycle loop: %.1f allocs/run, budget %d", avg, engineReuseAllocBudget)
 	}
 }

@@ -209,16 +209,6 @@ type RunOpts struct {
 	// not be shared between concurrent runs.
 	Probe *probe.Probe
 
-	// Activity is the optional dynamic activity-counter block (nil
-	// disables it, same discipline as Probe): the engine counts
-	// register-file port accesses per subset, monitored wake-up
-	// broadcasts and bypass drives per cluster, bypass consumptions,
-	// injected moves, renames and free-list pressure into it. Counters
-	// are reset at the warmup boundary so they cover the measured
-	// slice. Counting is read-only observation: an instrumented run is
-	// cycle-identical to a plain one.
-	Activity *telemetry.Activity
-
 	// Check attaches the self-checking layer (nil disables it): the
 	// co-simulation oracle and per-commit legality checks run at
 	// every retirement, the structural audits at the checker's
@@ -288,10 +278,13 @@ type Result struct {
 	// CommitWidth.
 	Stalls *probe.StallStack
 
-	// Activity echoes RunOpts.Activity when telemetry was enabled
-	// (nil otherwise): the measured slice's dynamic event counts,
-	// ready to be priced by a telemetry.EnergyModel.
-	Activity *telemetry.Activity
+	// Activity is the measured slice's dynamic event counts (register
+	// file port accesses per subset, monitored wake-up broadcasts and
+	// bypass drives per cluster, bypass consumptions, injected moves,
+	// renames and free-list pressure), ready to be priced by a
+	// telemetry.EnergyModel. Every run counts; counting is read-only
+	// observation and never changes the simulated timing.
+	Activity telemetry.Activity
 }
 
 type regInfo struct {
@@ -456,16 +449,9 @@ type engine struct {
 	stOn  bool
 	occOn bool
 
-	// act is the optional activity-counter block (nil = telemetry
-	// off); actOn caches the switch. monitors is the broadcast
-	// visibility table [subset][cluster] -> monitored operand sides,
-	// built once at engine setup when telemetry is on.
-	act      *telemetry.Activity
-	actOn    bool
-	monitors [][]uint8
-	// monNS/monNC/monWSRS key the cached monitors table.
-	monNS, monNC int
-	monWSRS      bool
+	// act is the run's activity-counter block, written only by the
+	// goroutine running the engine.
+	act telemetry.Activity
 
 	insts, uops     uint64
 	condBr, mispred uint64
@@ -641,18 +627,7 @@ func (e *engine) Reset(cfg Config, pol alloc.Policy, srcs []trace.Reader, opts R
 		e.occOn = p.Opt.Occupancy
 		p.Stall.Width = cfg.CommitWidth
 	}
-	e.act, e.actOn = nil, false
-	if a := opts.Activity; a != nil {
-		e.act = a
-		e.actOn = true
-		// The monitor table depends only on the machine geometry;
-		// engines cycling through the same configuration reuse it.
-		if e.monitors == nil || e.monNS != cfg.Rename.NumSubsets ||
-			e.monNC != cfg.NumClusters || e.monWSRS != cfg.WSRS {
-			e.monitors = telemetry.MonitorCounts(cfg.Rename.NumSubsets, cfg.NumClusters, cfg.WSRS)
-			e.monNS, e.monNC, e.monWSRS = cfg.Rename.NumSubsets, cfg.NumClusters, cfg.WSRS
-		}
-	}
+	e.act.Reset()
 	e.insts, e.uops = 0, 0
 	e.condBr, e.mispred = 0, 0
 	e.traps = 0
@@ -662,8 +637,8 @@ func (e *engine) Reset(cfg Config, pol alloc.Policy, srcs []trace.Reader, opts R
 }
 
 // scrub drops the engine's references to run-owned objects (trace
-// readers, probe, checker, activity block, policy, retired-µop
-// records) so a pooled engine cannot retain them.
+// readers, probe, checker, policy, retired-µop records) so a pooled
+// engine cannot retain them.
 func (e *engine) scrub() {
 	clear(e.rob)
 	for i := range e.th {
@@ -672,7 +647,6 @@ func (e *engine) scrub() {
 	e.pol = nil
 	e.chk = nil
 	e.prb = nil
-	e.act = nil
 }
 
 // growSlice returns s resized to length n, reusing its backing array
@@ -744,10 +718,8 @@ func (e *engine) run(opts RunOpts) (Result, error) {
 				// its attribution is dropped with the warmup's.
 				e.prb.Reset()
 			}
-			if e.actOn {
-				// Same boundary discipline as the probe.
-				e.act.Reset()
-			}
+			// Same boundary discipline as the probe.
+			e.act.Reset()
 		}
 		e.issue()
 		e.dispatch()
@@ -822,9 +794,9 @@ func (e *engine) run(opts RunOpts) (Result, error) {
 		s := e.prb.Stall
 		res.Stalls = &s
 	}
-	if e.actOn {
-		res.Activity = e.act
-	}
+	res.Activity = e.act
+	res.Activity.Moves = res.InjectedMoves
+	res.Activity.CountBroadcasts(e.cfg.Rename.NumSubsets, e.cfg.NumClusters, e.cfg.WSRS)
 	return res, nil
 }
 
@@ -1141,9 +1113,7 @@ func (e *engine) dispatch() {
 				if e.stOn {
 					e.prb.Disp.AddFreeList(subset, e.cfg.FetchWidth-slot)
 				}
-				if e.actOn {
-					e.act.AddFreeListStall(subset, uint64(e.cfg.FetchWidth-slot))
-				}
+				e.act.AddFreeListStall(subset, uint64(e.cfg.FetchWidth-slot))
 				return
 			}
 			var ok bool
@@ -1153,14 +1123,10 @@ func (e *engine) dispatch() {
 				if e.stOn {
 					e.prb.Disp.AddFreeList(subset, e.cfg.FetchWidth-slot)
 				}
-				if e.actOn {
-					e.act.AddFreeListStall(subset, uint64(e.cfg.FetchWidth-slot))
-				}
+				e.act.AddFreeListStall(subset, uint64(e.cfg.FetchWidth-slot))
 				return
 			}
-			if e.actOn {
-				e.act.AddRename(subset)
-			}
+			e.act.AddRename(subset)
 		}
 
 		idx := e.robAlloc()
@@ -1323,9 +1289,6 @@ func (e *engine) injectMove(c isa.RegClass, subset int) bool {
 	})
 	if ok {
 		e.moves++
-		if e.actOn {
-			e.act.AddMove()
-		}
 		// The move changed operand subsets; allocation decisions taken
 		// against the old map are stale (a WSRS placement may now be
 		// read-illegal). Drop them so fetchNext re-allocates.
@@ -1443,11 +1406,9 @@ func (e *engine) enqueueReady(c int, idx int32) {
 }
 
 func (e *engine) doIssue(idx int, ent *robEntry, c int) {
-	if e.actOn {
-		// Count before any state changes: the source regInfo entries
-		// still describe this µop's operands as it sees them.
-		e.countIssueActivity(ent, c)
-	}
+	// Count before any state changes: the source regInfo entries
+	// still describe this µop's operands as it sees them.
+	e.countIssueActivity(idx, ent, c)
 	lat := e.cfg.Lat.Of(ent.m.Class)
 	e.sb[c].Issue(e.cycle, ent.m.Class, lat)
 	if e.cfg.SharedDividers && ent.m.Class == isa.ClassDiv {
@@ -1527,25 +1488,34 @@ func (e *engine) doIssue(idx int, ent *robEntry, c int) {
 // Each source operand either arrives off the forwarding network this
 // very cycle (a bypass catch: no register-file access) or is read
 // through a read port of its subset. A produced result costs one
-// replicated write on its subset plus one wake-up comparison and one
-// bypass drive per operand side that monitors the subset (all 2 x
-// NumClusters sides without read specialization, half of them with
-// it). Pure observation — no simulation state is mutated.
-func (e *engine) countIssueActivity(ent *robEntry, c int) {
+// replicated write on its subset; its wake-up comparisons and bypass
+// drives are derived from the write counts when the run ends
+// (Activity.CountBroadcasts). Pure observation — no simulation state
+// is mutated.
+func (e *engine) countIssueActivity(idx int, ent *robEntry, c int) {
+	// ready is the latest operand arrival at this cluster: a µop
+	// issuing after it catches nothing off the bypass network.
+	catchable := e.robSched[idx].ready == e.cycle
 	for i := 0; i < ent.m.NSrc; i++ {
 		cl := ent.m.Src[i].Class
-		ri := e.readyInfo(cl, ent.srcPhys[i])
-		if ri.producer >= 0 && e.availAt(cl, ent.srcPhys[i], c) == e.cycle {
-			// The value lands at this cluster exactly now: caught off
-			// the bypass network, no port access.
-			if int(ri.producer) == c {
-				e.act.AddBypassLocal()
-			} else {
-				e.act.AddBypassCross()
+		if catchable {
+			ri := e.readyInfo(cl, ent.srcPhys[i])
+			if ri.producer >= 0 && e.availFrom(ri, c) == e.cycle {
+				// The value lands at this cluster exactly now: caught
+				// off the bypass network, no port access.
+				if int(ri.producer) == c {
+					e.act.BypassLocal++
+				} else {
+					e.act.BypassCross++
+				}
+				continue
 			}
-			continue
 		}
-		e.act.AddRegRead(e.ren.SubsetOf(cl, ent.srcPhys[i]))
+		s := 0
+		if e.cfg.Rename.NumSubsets > 1 {
+			s = e.ren.SubsetOf(cl, ent.srcPhys[i])
+		}
+		e.act.AddRegRead(s)
 	}
 	if ent.m.HasDst {
 		s := 0
@@ -1553,12 +1523,6 @@ func (e *engine) countIssueActivity(ent *robEntry, c int) {
 			s = c
 		}
 		e.act.AddRegWrite(s)
-		for c2 := 0; c2 < e.cfg.NumClusters; c2++ {
-			if n := uint64(e.monitors[s][c2]); n > 0 {
-				e.act.AddWakeup(c2, n)
-				e.act.AddBypassDrive(c2, n)
-			}
-		}
 	}
 }
 

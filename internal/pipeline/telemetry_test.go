@@ -9,10 +9,11 @@ import (
 	"wsrs/internal/trace"
 )
 
-// TestTelemetryRunIsCycleIdentical is the neutrality guarantee: the
-// activity counters are pure observation, so a telemetry-enabled run
-// must produce the exact Result of a plain run (mirroring the checked
-// run neutrality test in check_test.go).
+// TestTelemetryRunIsCycleIdentical is the neutrality guarantee of the
+// observers that stay optional: a run with the full probe and the
+// self-checking layer attached must produce the exact Result of a
+// plain run, activity counts included (mirroring the checked run
+// neutrality test in check_test.go).
 func TestTelemetryRunIsCycleIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -28,23 +29,22 @@ func TestTelemetryRunIsCycleIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s plain: %v", tc.name, err)
 		}
-		act := telemetry.NewActivity()
 		// Fresh policy instance: stateful policies must see the same
 		// decision sequence.
-		metered, err := Run(tc.cfg, tc.pol(), trace.NewSliceReader(ops),
-			RunOpts{WarmupInsts: 2000, MeasureInsts: 20000, Activity: act})
+		observed, err := Run(tc.cfg, tc.pol(), trace.NewSliceReader(ops),
+			RunOpts{WarmupInsts: 2000, MeasureInsts: 20000, Probe: fullProbe(), Check: checker(ops, nil, 0)})
 		if err != nil {
-			t.Fatalf("%s metered: %v", tc.name, err)
+			t.Fatalf("%s observed: %v", tc.name, err)
 		}
-		if metered.Activity != act {
-			t.Fatalf("%s: Result.Activity not echoed", tc.name)
+		if observed.Stalls == nil {
+			t.Fatalf("%s: probed run did not report a stall stack", tc.name)
 		}
-		metered.Activity = nil
-		if !reflect.DeepEqual(plain, metered) {
-			t.Errorf("%s: telemetry-enabled run diverges from plain:\nplain   %+v\nmetered %+v",
-				tc.name, plain, metered)
+		observed.Stalls = nil
+		if !reflect.DeepEqual(plain, observed) {
+			t.Errorf("%s: observed run diverges from plain:\nplain    %+v\nobserved %+v",
+				tc.name, plain, observed)
 		}
-		if act.RegWriteTotal() == 0 || act.WakeupTotal() == 0 {
+		if plain.Activity.RegWriteTotal() == 0 || plain.Activity.WakeupTotal() == 0 {
 			t.Errorf("%s: activity counters stayed empty", tc.name)
 		}
 	}
@@ -62,12 +62,12 @@ func TestActivityConservation(t *testing.T) {
 		{"wsrs", wsrs512(), alloc.NewRC(7)},
 	} {
 		ops := synthOps(17, 30000)
-		act := telemetry.NewActivity()
 		res, err := Run(tc.cfg, tc.pol, trace.NewSliceReader(ops),
-			RunOpts{WarmupInsts: 2000, MeasureInsts: 20000, Activity: act})
+			RunOpts{WarmupInsts: 2000, MeasureInsts: 20000})
 		if err != nil {
 			t.Fatal(err)
 		}
+		act := &res.Activity
 		// Every result broadcast is monitored by sides-per-broadcast
 		// operand sides, identically for wake-up and bypass drives.
 		if act.WakeupTotal() != act.BypassDriveTotal() {
@@ -116,18 +116,15 @@ func TestWSRSHalvesWakeupAndBypass(t *testing.T) {
 	ops := synthOps(23, 40000)
 	opts := RunOpts{WarmupInsts: 2000, MeasureInsts: 30000}
 
-	actConv := telemetry.NewActivity()
-	o := opts
-	o.Activity = actConv
-	if _, err := Run(conv(), alloc.NewRoundRobin(4), trace.NewSliceReader(ops), o); err != nil {
+	resConv, err := Run(conv(), alloc.NewRoundRobin(4), trace.NewSliceReader(ops), opts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	actWSRS := telemetry.NewActivity()
-	o = opts
-	o.Activity = actWSRS
-	if _, err := Run(wsrs512(), alloc.NewRC(7), trace.NewSliceReader(ops), o); err != nil {
+	resWSRS, err := Run(wsrs512(), alloc.NewRC(7), trace.NewSliceReader(ops), opts)
+	if err != nil {
 		t.Fatal(err)
 	}
+	actConv, actWSRS := &resConv.Activity, &resWSRS.Activity
 
 	for _, m := range []struct {
 		name       string
@@ -144,26 +141,13 @@ func TestWSRSHalvesWakeupAndBypass(t *testing.T) {
 	}
 }
 
-// BenchmarkCoreTelemetryOverhead measures the hot-loop cost of the
-// activity counters against the plain run (compare CorePipelinePlain
-// vs CorePipelineMetered).
+// BenchmarkCorePipelinePlain is the engine's hot-loop cost on a
+// synthetic trace, activity counting included.
 func BenchmarkCorePipelinePlain(b *testing.B) {
 	ops := synthOps(5, 20000)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(wsrs512(), alloc.NewRC(7), trace.NewSliceReader(ops), RunOpts{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCorePipelineMetered(b *testing.B) {
-	ops := synthOps(5, 20000)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		act := telemetry.NewActivity()
-		if _, err := Run(wsrs512(), alloc.NewRC(7), trace.NewSliceReader(ops),
-			RunOpts{Activity: act}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,8 +16,9 @@ import (
 
 // CellID is the canonical identity of one simulation cell as the job
 // API exposes it: everything that determines the cell's Result and
-// can be named over the wire. It is the content address of the result
-// cache — two requests with the same CellID are the same simulation.
+// can be named over the wire. Its Digest is the content address of
+// the result cache — two requests with the same CellID are the same
+// simulation, whichever job kind (grid job or exploration) asks.
 type CellID struct {
 	Kernel string `json:"kernel"`
 	Config string `json:"config"`
@@ -25,23 +26,23 @@ type CellID struct {
 	// Mods is the canonical machine-modification string
 	// (wsrs.ParseMods form, e.g. "clusters=2,width=2") applied on top
 	// of the named configuration. Empty means the stock machine.
-	Mods      string `json:"mods,omitempty"`
-	Seed      int64  `json:"seed"`
-	Warmup    uint64 `json:"warmup"`
-	Measure   uint64 `json:"measure"`
-	Telemetry bool   `json:"telemetry,omitempty"`
+	Mods    string `json:"mods,omitempty"`
+	Seed    int64  `json:"seed"`
+	Warmup  uint64 `json:"warmup"`
+	Measure uint64 `json:"measure"`
 }
 
 // Digest returns the cell's content address: the hex sha256 of its
-// canonical identity string. The encoding is positional and
-// delimiter-separated (not JSON), so field order and omitempty can
-// never split one identity into two addresses. Mods extends the
-// encoding only when present, so every pre-existing cache entry keeps
-// its address.
+// canonical identity string and wsrs.ModelVersion. The encoding is
+// positional and delimiter-separated (not JSON), so field order and
+// omitempty can never split one identity into two addresses. Hashing
+// the model version means a record persisted by another version no
+// longer matches its own address, so loading drops it and the cell
+// simulates again.
 func (c CellID) Digest() string {
 	h := sha256.New()
-	fmt.Fprintf(h, "%s|%s|%s|%d|%d|%d|%t",
-		c.Kernel, c.Config, c.Policy, c.Seed, c.Warmup, c.Measure, c.Telemetry)
+	fmt.Fprintf(h, "%s|%s|%s|%d|%d|%d|m%d",
+		c.Kernel, c.Config, c.Policy, c.Seed, c.Warmup, c.Measure, wsrs.ModelVersion)
 	if c.Mods != "" {
 		fmt.Fprintf(h, "|%s", c.Mods)
 	}
@@ -111,8 +112,8 @@ func OpenCache(path string, max int) (*Cache, error) {
 		}
 		// A record must hash to the address it claims: a line truncated
 		// by a short write (or merged with a torn neighbour) that still
-		// parses as JSON is rejected here, so the cache can never serve
-		// a corrupt entry as a valid result.
+		// parses as JSON, or one written by another model version, is
+		// rejected here, so the cache never serves it as a valid result.
 		if rec.Cell.Digest() != rec.Digest {
 			continue
 		}

@@ -1,6 +1,9 @@
 package serve
 
 import (
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -26,7 +29,7 @@ func TestCellIDDigest(t *testing.T) {
 		{Kernel: "gzip", Config: "RR 256", Policy: "RM", Seed: 1, Warmup: 1000, Measure: 5000},
 		{Kernel: "gzip", Config: "RR 256", Seed: 1, Warmup: 2000, Measure: 5000},
 		{Kernel: "gzip", Config: "RR 256", Seed: 1, Warmup: 1000, Measure: 6000},
-		{Kernel: "gzip", Config: "RR 256", Seed: 1, Warmup: 1000, Measure: 5000, Telemetry: true},
+		{Kernel: "gzip", Config: "RR 256", Mods: "clusters=2", Seed: 1, Warmup: 1000, Measure: 5000},
 	}
 	seen := map[string]bool{a.Digest(): true}
 	for i, id := range distinct {
@@ -255,4 +258,48 @@ func TestCacheCompactionBoundsFile(t *testing.T) {
 			t.Fatalf("compaction dropped live entry seed=%d", s)
 		}
 	}
+}
+
+// TestCacheSkipsOtherModelVersion persists a record in the format of
+// the model before wsrs.ModelVersion existed — a digest without the
+// version, a result without activity counts — and checks the daemon
+// neither loads nor serves it: the same cell simulates again.
+func TestCacheSkipsOtherModelVersion(t *testing.T) {
+	id := testID(1)
+	legacy := sha256.Sum256([]byte(fmt.Sprintf("%s|%s|%s|%d|%d|%d|%t",
+		id.Kernel, id.Config, id.Policy, id.Seed, id.Warmup, id.Measure, false)))
+	line := fmt.Sprintf(`{"digest":%q,"cell":{"kernel":%q,"config":%q,"seed":%d,"warmup":%d,"measure":%d},"result":{"Name":"stale","Cycles":1}}`+"\n",
+		hex.EncodeToString(legacy[:]), id.Kernel, id.Config, id.Seed, id.Warmup, id.Measure)
+	path := filepath.Join(t.TempDir(), "cache.jsonl")
+	if err := os.WriteFile(path, []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := OpenCache(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := c.Len(); n != 0 {
+		t.Fatalf("loaded %d records of another model version", n)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The daemon reopens the compacted file; the cell must miss.
+	if err := os.WriteFile(path, []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv, client, _ := testServer(t, Options{Workers: 1, CachePath: path})
+	defer srv.Drain(context.Background())
+	final := submitWait(t, client, &JobRequest{
+		Cells:  []CellSpec{{Kernel: id.Kernel, Config: id.Config}},
+		Warmup: id.Warmup, Measure: id.Measure, Seed: id.Seed,
+	})
+	if final.State != StateDone {
+		t.Fatalf("job: %s (%s)", final.State, final.Error)
+	}
+	if got := final.Cells[0].Cache; got != CacheMiss {
+		t.Fatalf("cell disposition %q, want %q", got, CacheMiss)
+	}
+	waitCounter(t, client, mSims, 1)
 }

@@ -180,8 +180,9 @@ func (x *exploreJob) document() ([]byte, bool) {
 // and resolves them through resolveCells — content-addressed cache,
 // then the singleflight + worker-pool path every grid cell takes
 // (which in coordinator mode scatters across the fleet via the
-// configured CellRunner). Telemetry is always on — the search prices
-// energy from activity counters.
+// configured CellRunner). The cells carry the same identities a grid
+// job would give them, so both job kinds share one cache address per
+// simulation.
 type serverEvaluator struct {
 	s *Server
 	x *exploreJob
@@ -193,7 +194,7 @@ func (e *serverEvaluator) Evaluate(ctx context.Context, cells []explore.Cell, op
 		ids[i] = CellID{
 			Kernel: c.Kernel, Config: string(c.Config), Policy: c.Policy,
 			Mods: c.Mods, Seed: opts.Seed, Warmup: opts.Warmup,
-			Measure: opts.Measure, Telemetry: true,
+			Measure: opts.Measure,
 		}
 	}
 	if err := e.s.reservePending(len(ids)); err != nil {

@@ -165,6 +165,58 @@ func TestExploreRepeatedIsCachedAndByteIdentical(t *testing.T) {
 	waitCounter(t, client, mCacheHits, float64(second.CacheHits))
 }
 
+// TestExploreAndJobShareOneAddress submits a grid job for a point an
+// exploration already evaluated — same configuration, mods, policy,
+// seed and windows. Both job kinds address the simulation alike, so
+// the job's cell is a cache hit and nothing simulates again.
+func TestExploreAndJobShareOneAddress(t *testing.T) {
+	srv, client, _ := testServer(t, Options{Workers: 2})
+	defer srv.Drain(context.Background())
+	ctx := context.Background()
+
+	req := smallExplore()
+	x := submitWaitExplore(t, client, req)
+	if x.State != StateDone {
+		t.Fatalf("explore: %s (%s)", x.State, x.Error)
+	}
+	body, err := client.Frontier(ctx, x.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc explore.Document
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Frontier) == 0 {
+		t.Fatal("exploration evaluated no frontier point")
+	}
+	cell := explore.CellFor(doc.Frontier[0].Point, req.Space.Kernels[0])
+	waitCounter(t, client, mSims, float64(x.Evaluated))
+	before, err := client.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	job := submitWait(t, client, &JobRequest{
+		Cells: []CellSpec{{Kernel: cell.Kernel, Config: string(cell.Config),
+			Policy: cell.Policy, Mods: cell.Mods}},
+		Warmup: req.Warmup, Measure: req.Measure, Seed: req.Seed,
+	})
+	if job.State != StateDone {
+		t.Fatalf("job: %s (%s)", job.State, job.Error)
+	}
+	if got := job.Cells[0].Cache; got != CacheHit {
+		t.Fatalf("job cell for an explored point: disposition %q, want %q", got, CacheHit)
+	}
+	after, err := client.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after[mSims] != before[mSims] {
+		t.Fatalf("%s moved %v -> %v for an already simulated cell", mSims, before[mSims], after[mSims])
+	}
+}
+
 // TestExploreValidation checks the structured 400s: a bad axis value
 // and a bad strategy each come back as an ErrorEnvelope naming the
 // offending field, with the valid set when the field is closed.

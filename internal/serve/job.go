@@ -18,8 +18,8 @@ import (
 type JobRequest struct {
 	// Experiment selects a named grid: "figure4" (kernels x the
 	// Figure 4 configurations), "figure5" (kernels x the two WSRS
-	// policies) or "energy" (figure4 with telemetry forced on).
-	// Empty means Cells is authoritative.
+	// policies) or "energy" (the figure4 cells, whose results are
+	// priced client-side). Empty means Cells is authoritative.
 	Experiment string `json:"experiment,omitempty"`
 	// Kernels restricts a named experiment to a benchmark subset
 	// (nil = all twelve).
@@ -30,10 +30,9 @@ type JobRequest struct {
 	// Cells is the explicit grid for requests without Experiment.
 	Cells []CellSpec `json:"cells,omitempty"`
 
-	Warmup    uint64 `json:"warmup,omitempty"`
-	Measure   uint64 `json:"measure,omitempty"`
-	Seed      int64  `json:"seed,omitempty"`
-	Telemetry bool   `json:"telemetry,omitempty"`
+	Warmup  uint64 `json:"warmup,omitempty"`
+	Measure uint64 `json:"measure,omitempty"`
+	Seed    int64  `json:"seed,omitempty"`
 	// Label travels into the job record and the metrics-free event
 	// stream; optional.
 	Label string `json:"label,omitempty"`
@@ -87,7 +86,6 @@ func (r *JobRequest) expand() ([]CellID, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	telemetry := r.Telemetry
 
 	if r.Experiment != "" && len(r.Cells) > 0 {
 		return nil, &RequestError{Field: "experiment",
@@ -108,9 +106,6 @@ func (r *JobRequest) expand() ([]CellID, error) {
 		}
 		cells = r.Cells
 	case "figure4", "energy":
-		if r.Experiment == "energy" {
-			telemetry = true
-		}
 		confs := r.Configs
 		if confs == nil {
 			for _, c := range wsrs.Figure4Configs() {
@@ -174,7 +169,6 @@ func (r *JobRequest) expand() ([]CellID, error) {
 			Kernel: c.Kernel, Config: string(conf), Policy: c.Policy,
 			Mods: c.Mods,
 			Seed: cellSeed, Warmup: warmup, Measure: measure,
-			Telemetry: telemetry,
 		}
 	}
 	return out, nil

@@ -724,7 +724,6 @@ func (s *Server) runFlight(t *cellTask, worker int) {
 			WarmupInsts:  t.id.Warmup,
 			MeasureInsts: t.id.Measure,
 			Seed:         t.id.Seed,
-			Telemetry:    t.id.Telemetry,
 			Observer:     wsrs.NewTraceObserver(s.tracer, sim.Ctx()),
 			Cancel:       t.fl.cancel,
 		}

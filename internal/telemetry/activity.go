@@ -1,22 +1,16 @@
 package telemetry
 
-import "sync/atomic"
-
 // MaxDomains bounds the per-subset / per-cluster fixed counter slots.
 // The paper's design space tops out at 4 clusters and 4 register
 // subsets; 8 leaves headroom for ablations without making the counter
 // block dynamically sized (a fixed block keeps the hot-path increment
-// a single indexed atomic add, no bounds growth, no allocation).
+// a single indexed add, no bounds growth, no allocation).
 const MaxDomains = 8
 
 // Activity is one run's dynamic activity-counter block: how often each
-// structure the paper prices in Table 1 actually fires. The timing
-// model holds a nil *Activity in normal runs (the same discipline as
-// internal/probe) and bumps these slots when telemetry is enabled.
-//
-// All counters are updated with atomic adds so a live endpoint (or the
-// grid aggregator) can read a run's totals while it executes; within
-// one simulation the writer is a single goroutine.
+// structure the paper prices in Table 1 actually fires. Every run
+// counts: the timing model owns its block as plain fields (one
+// goroutine writes it) and hands a copy out with the run's Result.
 //
 // Counting units, chosen so that the paper's §4.3 structural claims
 // fall out of the dynamic counts:
@@ -43,6 +37,10 @@ const MaxDomains = 8
 //   - Renames[s]: destination registers allocated from subset s.
 //   - FreeListStalls[s]: dispatch slots lost because subset s had no
 //     free register — the §2.3 subset pressure as a rate.
+//
+// Wakeup and BypassDrives are not counted per event: every write into
+// subset s is seen by the same operand sides, so CountBroadcasts
+// derives both from RegWrites once the run ends.
 type Activity struct {
 	RegReads       [MaxDomains]uint64
 	RegWrites      [MaxDomains]uint64
@@ -55,43 +53,32 @@ type Activity struct {
 	FreeListStalls [MaxDomains]uint64
 }
 
-// NewActivity returns a zeroed counter block.
-func NewActivity() *Activity { return &Activity{} }
-
 // AddRegRead counts one read-port access on subset s.
-func (a *Activity) AddRegRead(s int) { atomic.AddUint64(&a.RegReads[s&(MaxDomains-1)], 1) }
+func (a *Activity) AddRegRead(s int) { a.RegReads[s&(MaxDomains-1)]++ }
 
 // AddRegWrite counts one write access on subset s.
-func (a *Activity) AddRegWrite(s int) { atomic.AddUint64(&a.RegWrites[s&(MaxDomains-1)], 1) }
-
-// AddWakeup counts n monitored tag-broadcast events in cluster c's
-// window.
-func (a *Activity) AddWakeup(c int, n uint64) { atomic.AddUint64(&a.Wakeup[c&(MaxDomains-1)], n) }
-
-// AddBypassDrive counts n results driven into cluster c's bypass
-// points.
-func (a *Activity) AddBypassDrive(c int, n uint64) {
-	atomic.AddUint64(&a.BypassDrives[c&(MaxDomains-1)], n)
-}
-
-// AddBypassLocal counts one operand caught off the local (intra-
-// cluster) forwarding path.
-func (a *Activity) AddBypassLocal() { atomic.AddUint64(&a.BypassLocal, 1) }
-
-// AddBypassCross counts one operand caught off the cross-cluster
-// forwarding network.
-func (a *Activity) AddBypassCross() { atomic.AddUint64(&a.BypassCross, 1) }
-
-// AddMove counts one injected cross-cluster move µop.
-func (a *Activity) AddMove() { atomic.AddUint64(&a.Moves, 1) }
+func (a *Activity) AddRegWrite(s int) { a.RegWrites[s&(MaxDomains-1)]++ }
 
 // AddRename counts one destination allocation from subset s.
-func (a *Activity) AddRename(s int) { atomic.AddUint64(&a.Renames[s&(MaxDomains-1)], 1) }
+func (a *Activity) AddRename(s int) { a.Renames[s&(MaxDomains-1)]++ }
 
 // AddFreeListStall counts n dispatch slots stalled on subset s's free
 // list.
-func (a *Activity) AddFreeListStall(s int, n uint64) {
-	atomic.AddUint64(&a.FreeListStalls[s&(MaxDomains-1)], n)
+func (a *Activity) AddFreeListStall(s int, n uint64) { a.FreeListStalls[s&(MaxDomains-1)] += n }
+
+// CountBroadcasts adds the wake-up and bypass-drive events of the
+// writes counted so far: each write into subset s is one tag broadcast
+// monitored by monitorCount(s, c, ...) operand sides of cluster c, and
+// drives the same number of bypass points.
+func (a *Activity) CountBroadcasts(numSubsets, numClusters int, readSpecialized bool) {
+	for s := 0; s < max(numSubsets, 1); s++ {
+		w := a.RegWrites[s&(MaxDomains-1)]
+		for c := 0; c < numClusters; c++ {
+			n := w * uint64(monitorCount(s, c, numSubsets, numClusters, readSpecialized))
+			a.Wakeup[c&(MaxDomains-1)] += n
+			a.BypassDrives[c&(MaxDomains-1)] += n
+		}
+	}
 }
 
 // Reset zeroes every slot (the pipeline calls it at the warmup
@@ -103,8 +90,8 @@ func (a *Activity) Reset() {
 
 func sum(v *[MaxDomains]uint64) uint64 {
 	var n uint64
-	for i := range v {
-		n += atomic.LoadUint64(&v[i])
+	for _, x := range v {
+		n += x
 	}
 	return n
 }
@@ -122,46 +109,33 @@ func (a *Activity) WakeupTotal() uint64 { return sum(&a.Wakeup) }
 func (a *Activity) BypassDriveTotal() uint64 { return sum(&a.BypassDrives) }
 
 // BypassUseTotal sums operands consumed off the forwarding network.
-func (a *Activity) BypassUseTotal() uint64 {
-	return atomic.LoadUint64(&a.BypassLocal) + atomic.LoadUint64(&a.BypassCross)
-}
+func (a *Activity) BypassUseTotal() uint64 { return a.BypassLocal + a.BypassCross }
 
 // FreeListStallTotal sums free-list stall slots over all subsets.
 func (a *Activity) FreeListStallTotal() uint64 { return sum(&a.FreeListStalls) }
 
-// MonitorCounts returns the broadcast-visibility table the timing
-// model counts Wakeup and BypassDrives with: entry [s][c] is how many
-// of cluster c's operand sides monitor results written into subset s.
+// monitorCount is the broadcast visibility of one (subset, cluster)
+// pair: how many of cluster c's operand sides monitor results written
+// into subset s.
 //
 // Without read specialization every result bus reaches both operand
-// sides of every cluster, so every entry is 2. With the paper's
+// sides of every cluster, so the count is 2. With the paper's
 // 4-cluster read specialization (Figure 3: cluster = (first&2) |
 // (second&1)), the first-operand side of cluster c only monitors
 // subsets in its top/bottom pair (s&2 == c&2) and the second-operand
 // side only its left/right pair (s&1 == c&1): each subset's results
 // are monitored by 4 operand sides instead of 8 — the measured form of
 // "wake-up and bypass monitor half the machine".
-func MonitorCounts(numSubsets, numClusters int, readSpecialized bool) [][]uint8 {
-	if numSubsets < 1 {
-		numSubsets = 1
+func monitorCount(s, c, numSubsets, numClusters int, readSpecialized bool) uint8 {
+	if !readSpecialized || numClusters != 4 || numSubsets != 4 {
+		return 2
 	}
-	t := make([][]uint8, numSubsets)
-	for s := range t {
-		t[s] = make([]uint8, numClusters)
-		for c := 0; c < numClusters; c++ {
-			if readSpecialized && numClusters == 4 && numSubsets == 4 {
-				var n uint8
-				if s&2 == c&2 {
-					n++ // first-operand side
-				}
-				if s&1 == c&1 {
-					n++ // second-operand side
-				}
-				t[s][c] = n
-			} else {
-				t[s][c] = 2
-			}
-		}
+	var n uint8
+	if s&2 == c&2 {
+		n++ // first-operand side
 	}
-	return t
+	if s&1 == c&1 {
+		n++ // second-operand side
+	}
+	return n
 }

@@ -7,13 +7,12 @@
 //
 // The package has two halves:
 //
-//   - Activity (activity.go): fixed-slot atomic event counters the
-//     timing model bumps on its hot path — register-file port accesses
-//     per subset, wake-up tag broadcasts per monitoring domain, bypass
-//     network drives and consumptions, cross-cluster move µops,
-//     free-list pressure. Like internal/probe, the pipeline holds a
-//     nil pointer in normal runs, so a disabled run pays one nil/bool
-//     check per stage and stays cycle-identical.
+//   - Activity (activity.go): fixed-slot event counters the timing
+//     model owns and bumps on its hot path in every run — register-file
+//     port accesses per subset, wake-up tag broadcasts per monitoring
+//     domain, bypass network drives and consumptions, cross-cluster
+//     move µops, free-list pressure. Counting is read-only observation:
+//     it never changes the simulated timing.
 //   - Registry (this file): a named counter/gauge/histogram registry
 //     for the host-side harness (grid progress, cache hit rates,
 //     per-cell wall time), exposable as Prometheus text exposition and

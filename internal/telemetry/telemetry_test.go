@@ -118,9 +118,9 @@ func TestCounterOverflowWraps(t *testing.T) {
 		t.Errorf("after wrap Load = %d, want 42", got)
 	}
 	var a Activity
-	a.AddWakeup(2, math.MaxUint64)
-	a.AddWakeup(2, 3) // wraps
-	if got := a.Wakeup[2]; got != 2 {
+	a.AddFreeListStall(2, math.MaxUint64)
+	a.AddFreeListStall(2, 3) // wraps
+	if got := a.FreeListStalls[2]; got != 2 {
 		t.Errorf("activity slot after wrap = %d, want 2", got)
 	}
 }
@@ -164,16 +164,17 @@ func TestRegistryConcurrent(t *testing.T) {
 }
 
 func TestActivityTotalsAndReset(t *testing.T) {
-	a := NewActivity()
+	var a Activity
 	a.AddRegRead(0)
 	a.AddRegRead(3)
 	a.AddRegWrite(1)
-	a.AddWakeup(0, 8)
-	a.AddWakeup(3, 4)
-	a.AddBypassDrive(2, 8)
-	a.AddBypassLocal()
-	a.AddBypassCross()
-	a.AddMove()
+	a.AddRegWrite(2)
+	// Two writes on the 4-cluster WSRS machine: each is monitored by 4
+	// operand sides, 8 wake-up events and 8 bypass drives in all.
+	a.CountBroadcasts(4, 4, true)
+	a.BypassLocal++
+	a.BypassCross++
+	a.Moves++
 	a.AddRename(1)
 	a.AddFreeListStall(1, 5)
 	// Out-of-range domains mask into the fixed block instead of
@@ -186,8 +187,11 @@ func TestActivityTotalsAndReset(t *testing.T) {
 	if got := a.RegReadTotal(); got != 3 {
 		t.Errorf("RegReadTotal = %d, want 3", got)
 	}
-	if got := a.WakeupTotal(); got != 12 {
-		t.Errorf("WakeupTotal = %d, want 12", got)
+	if got := a.WakeupTotal(); got != 8 {
+		t.Errorf("WakeupTotal = %d, want 8", got)
+	}
+	if got := a.Wakeup[1]; got != 2 {
+		t.Errorf("Wakeup[1] = %d, want 2 (both sides of cluster 1 watch subset 1)", got)
 	}
 	if got := a.BypassDriveTotal(); got != 8 {
 		t.Errorf("BypassDriveTotal = %d, want 8", got)
@@ -208,13 +212,11 @@ func TestActivityTotalsAndReset(t *testing.T) {
 // §4.3.2 claim: with read specialization on the 4-cluster machine each
 // broadcast is monitored by half the operand sides.
 func TestMonitorCountsHalving(t *testing.T) {
-	conv := MonitorCounts(4, 4, false)
-	wsrs := MonitorCounts(4, 4, true)
 	for s := 0; s < 4; s++ {
 		var nConv, nWSRS int
 		for c := 0; c < 4; c++ {
-			nConv += int(conv[s][c])
-			nWSRS += int(wsrs[s][c])
+			nConv += int(monitorCount(s, c, 4, 4, false))
+			nWSRS += int(monitorCount(s, c, 4, 4, true))
 		}
 		if nConv != 8 {
 			t.Errorf("subset %d: conventional sides = %d, want 8", s, nConv)
@@ -226,13 +228,12 @@ func TestMonitorCountsHalving(t *testing.T) {
 	// Figure 3 row/column rule: cluster c's first side watches s&2==c&2,
 	// second side s&1==c&1; cluster c always sees its own subset twice.
 	for c := 0; c < 4; c++ {
-		if wsrs[c][c] != 2 {
+		if monitorCount(c, c, 4, 4, true) != 2 {
 			t.Errorf("cluster %d does not fully monitor its own subset", c)
 		}
 	}
 	// Non-WSRS geometries fall back to full monitoring.
-	two := MonitorCounts(2, 2, true)
-	if two[0][1] != 2 {
+	if monitorCount(0, 1, 2, 2, true) != 2 {
 		t.Error("2-cluster geometry should monitor fully")
 	}
 }
@@ -241,17 +242,17 @@ func TestEnergyStackArithmetic(t *testing.T) {
 	m := EnergyModel{
 		Name: "t", ReadNJ: 1, WriteNJ: 2, WakeupNJ: 0.5, BypassNJ: 0.25, MoveNJ: 3,
 	}
-	a := NewActivity()
+	var a Activity
 	for i := 0; i < 10; i++ {
 		a.AddRegRead(i % 4)
 	}
 	for i := 0; i < 5; i++ {
 		a.AddRegWrite(i % 4)
 	}
-	a.AddWakeup(0, 8)
-	a.AddBypassDrive(1, 4)
-	a.AddMove()
-	s := m.Stack(a, 1000)
+	a.Wakeup[0] = 8
+	a.BypassDrives[1] = 4
+	a.Moves = 1
+	s := m.Stack(&a, 1000)
 	if s.RegReadNJ != 10 || s.RegWriteNJ != 10 || s.WakeupNJ != 4 || s.BypassNJ != 1 || s.MoveNJ != 3 {
 		t.Errorf("component energies wrong: %+v", s)
 	}
@@ -335,11 +336,14 @@ func BenchmarkCoreCounterInc(b *testing.B) {
 }
 
 func BenchmarkCoreActivityAdd(b *testing.B) {
-	a := NewActivity()
+	var a Activity
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		a.AddRegRead(i & 3)
-		a.AddWakeup(i&3, 4)
+		a.AddRegWrite(i & 3)
+	}
+	if a.RegReadTotal() != uint64(b.N) {
+		b.Fatal("lost counts")
 	}
 }
 

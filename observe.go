@@ -190,9 +190,7 @@ func (g *GridTelemetry) CellFinished(i int, r GridResult) {
 	}
 	g.cells = append(g.cells, mc)
 	g.insts += r.Result.Insts
-	if a := r.Result.Activity; a != nil {
-		mergeActivity(&g.activity, a)
-	}
+	mergeActivity(&g.activity, &r.Result.Activity)
 	ev := telemetry.CompleteEvent(
 		fmt.Sprintf("%s/%s", r.Cell.Kernel, r.Cell.Config), "cell",
 		float64(time.Since(g.start).Microseconds())-float64(r.Wall.Microseconds()),

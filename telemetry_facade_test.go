@@ -40,7 +40,7 @@ func TestEnergyFacadeHalving(t *testing.T) {
 		conv, wsrs = wsrs, conv
 	}
 	if conv.Insts == 0 || wsrs.Insts == 0 {
-		t.Fatal("energy stacks missing instruction counts (telemetry not enabled?)")
+		t.Fatal("energy stacks missing instruction counts")
 	}
 	convRate := float64(conv.WakeupEvents) / float64(conv.Insts)
 	wsrsRate := float64(wsrs.WakeupEvents) / float64(wsrs.Insts)
@@ -66,7 +66,6 @@ func TestGridTelemetryObserver(t *testing.T) {
 	gt.Meta = map[string]string{"suite": "observer"}
 
 	opts := goldenOpts
-	opts.Telemetry = true
 	opts.Observer = gt
 	cells := []GridCell{
 		{Kernel: "gzip", Config: ConfRR256},

@@ -254,13 +254,6 @@ type SimOpts struct {
 	// the result travels in Result.Stalls. Safe at any parallelism.
 	Stats bool
 
-	// Telemetry gives every run (grid cell or single RunKernel) its
-	// own private dynamic activity-counter block; the counts travel in
-	// Result.Activity, ready for EnergyModelFor pricing. Counting is
-	// pure observation: a telemetry-enabled run is cycle-identical to
-	// a plain one. Safe at any parallelism.
-	Telemetry bool
-
 	// Observer receives RunGrid progress callbacks (cell started /
 	// finished) from the worker goroutines; nil disables them.
 	// GridTelemetry is the batteries-included implementation
@@ -342,11 +335,6 @@ func (o SimOpts) runOpts() pipeline.RunOpts {
 		MaxCycles:    o.MaxCycles,
 		Cancel:       o.Cancel,
 	}
-	if o.Telemetry {
-		// A fresh private block per run, so grids stay safe at any
-		// parallelism; it travels out in Result.Activity.
-		ro.Activity = telemetry.NewActivity()
-	}
 	if o.CellTimeout > 0 {
 		ro.Deadline = time.Now().Add(o.CellTimeout)
 	}
@@ -360,8 +348,17 @@ func (o SimOpts) newChecker(refs []check.RefSource) *check.Checker {
 }
 
 // Result is the outcome of one simulation (re-exported from the
-// timing model).
+// timing model). Every run carries its activity counts in
+// Result.Activity, ready for EnergyModelFor pricing.
 type Result = pipeline.Result
+
+// ModelVersion identifies the timing model behind a Result. It is part
+// of every persisted result's address — the RunGrid checkpoint key and
+// the serving layer's cell digest — so a result recorded by another
+// model version is never resumed or served. Bump it whenever simulated
+// results change: any edit to testdata/*.golden, or a new field in
+// Result (version 1 added the always-on activity counts).
+const ModelVersion = 1
 
 // CheckViolation is the error every checker reports (re-exported from
 // internal/check): which checker fired ("oracle", "conservation",
