@@ -21,7 +21,7 @@
 //	                             ?format=chrome for Perfetto)
 //	GET    /v1/jobs/{id}/events  server-sent event stream of per-cell
 //	                             progress
-//	GET    /v1/phases            per-phase latency samples + SLO targets
+//	GET    /v1/phases            per-phase latency samples
 //	GET    /v1/traces/{trace}    this process's spans for one trace ID
 //	                             (the member-side fetch of fleet trace
 //	                             stitching)

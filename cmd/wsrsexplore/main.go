@@ -9,11 +9,7 @@
 // two modes render the same bytes for the same request.
 //
 // The space is given axis by axis as comma-separated value lists; the
-// defaults reproduce the CI smoke space. -bench switches to the
-// benchmark mode: the same space is explored twice, with and without
-// the analytic pre-filter, the frontier bytes are checked identical
-// (the pre-filter-safety property) and the throughput report is
-// written as BENCH_explore.json.
+// defaults reproduce the CI smoke space.
 //
 // Usage:
 //
@@ -21,7 +17,6 @@
 //	wsrsexplore -clusters 2,4,8 -regs 512,1024 -policies RR,RC
 //	wsrsexplore -strategy halving -rounds 3 -out frontier.json
 //	wsrsexplore -addr http://127.0.0.1:8080 -out frontier.json
-//	wsrsexplore -bench -out BENCH_explore.json
 package main
 
 import (
@@ -60,8 +55,7 @@ func main() {
 	measure := flag.Uint64("measure", 8_000, "measured instructions per cell")
 	parallelism := flag.Int("parallelism", 0, "local mode: simulation workers (0 = GOMAXPROCS)")
 	checkpoint := flag.String("checkpoint", "", "local mode: JSONL checkpoint file making the evaluation resumable")
-	out := flag.String("out", "", "write the frontier document (or -bench report) to this file")
-	bench := flag.Bool("bench", false, "benchmark mode: explore with and without the pre-filter, verify identical frontiers, report points/sec")
+	out := flag.String("out", "", "write the frontier document to this file")
 	quiet := flag.Bool("quiet", false, "suppress the progress stream on stderr")
 	flag.Parse()
 
@@ -75,12 +69,9 @@ func main() {
 		fatal(err)
 	}
 
-	switch {
-	case *bench:
-		err = runBench(req, *parallelism, *out, *quiet)
-	case *addr != "":
+	if *addr != "" {
 		err = runRemote(*addr, req, *out, *quiet)
-	default:
+	} else {
 		err = runLocal(req, *parallelism, *checkpoint, *out, *quiet)
 	}
 	if err != nil {
@@ -248,104 +239,4 @@ func renderFrontier(doc *explore.Document) {
 			fmt.Sprintf("%.4f", e.IPC), fmt.Sprintf("%.1f", e.EnergyPJ), fmt.Sprintf("%.0f", e.Area))
 	}
 	t.Render(os.Stdout)
-}
-
-// benchRun is one measured exploration in the -bench report.
-type benchRun struct {
-	Prefilter    bool    `json:"prefilter"`
-	Selected     int     `json:"points_selected"`
-	Pruned       int     `json:"points_pruned"`
-	Evaluated    int     `json:"points_evaluated"`
-	Frontier     int     `json:"frontier_size"`
-	WallMs       float64 `json:"wall_ms"`
-	PointsPerSec float64 `json:"points_per_sec"`
-}
-
-// benchReport is the committed BENCH_explore.json: the same space
-// explored with and without the analytic pre-filter, the identical
-// frontiers asserted, and the evaluation throughput of each run.
-type benchReport struct {
-	SpaceDigest       string     `json:"space_digest"`
-	Strategy          string     `json:"strategy"`
-	Warmup            uint64     `json:"warmup_insts"`
-	Measure           uint64     `json:"measure_insts"`
-	Runs              []benchRun `json:"runs"`
-	FrontierIdentical bool       `json:"frontier_identical"`
-	Speedup           float64    `json:"prefilter_speedup"`
-}
-
-func runBench(req explore.Request, parallelism int, out string, quiet bool) error {
-	if out == "" {
-		out = "BENCH_explore.json"
-	}
-	rep := benchReport{Strategy: req.Strategy, Warmup: req.Warmup, Measure: req.Measure}
-	var frontiers [2]string
-	for i, pf := range []bool{false, true} {
-		r := req
-		p := pf
-		r.Prefilter = &p
-		start := time.Now()
-		doc, err := explore.Run(context.Background(), r, &explore.LocalEvaluator{Parallelism: parallelism},
-			progressObserver{quiet: quiet})
-		if err != nil {
-			return fmt.Errorf("prefilter=%t: %w", pf, err)
-		}
-		if !quiet {
-			fmt.Fprintln(os.Stderr)
-		}
-		wall := time.Since(start)
-		rep.SpaceDigest = doc.SpaceDigest
-		run := benchRun{
-			Prefilter: pf, Selected: doc.Selected, Pruned: len(doc.PrunedSet),
-			Evaluated: doc.Evaluated, Frontier: len(doc.Frontier),
-			WallMs: float64(wall.Microseconds()) / 1000,
-		}
-		if wall > 0 {
-			run.PointsPerSec = float64(doc.Evaluated) / wall.Seconds()
-		}
-		rep.Runs = append(rep.Runs, run)
-		frontiers[i] = frontierKey(doc)
-	}
-	rep.FrontierIdentical = frontiers[0] == frontiers[1]
-	if rep.Runs[1].WallMs > 0 {
-		rep.Speedup = rep.Runs[0].WallMs / rep.Runs[1].WallMs
-	}
-
-	t := report.NewTable(
-		fmt.Sprintf("explore throughput — %s space %s...", rep.Strategy, rep.SpaceDigest[:12]),
-		"prefilter", "selected", "pruned", "evaluated", "frontier", "wall ms", "points/s")
-	for _, r := range rep.Runs {
-		t.AddRow(r.Prefilter, r.Selected, r.Pruned, r.Evaluated, r.Frontier,
-			fmt.Sprintf("%.1f", r.WallMs), fmt.Sprintf("%.1f", r.PointsPerSec))
-	}
-	t.Render(os.Stdout)
-
-	if !rep.FrontierIdentical {
-		return fmt.Errorf("pre-filter changed the frontier — the safety property is violated")
-	}
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wsrsexplore: wrote %s\n", out)
-	return nil
-}
-
-// frontierKey reduces a document's frontier to a comparable identity:
-// the ordered (digest, objectives) tuples.
-func frontierKey(doc *explore.Document) string {
-	var b strings.Builder
-	for _, e := range doc.Frontier {
-		fmt.Fprintf(&b, "%s|%g|%g|%g\n", e.Digest, e.IPC, e.EnergyPJ, e.Area)
-	}
-	return b.String()
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -228,6 +229,14 @@ func TestChaosMatrix(t *testing.T) {
 		killWant := baseline(t, killIDs)
 
 		proxies, urls := chaosFleet(t, 3)
+		// The ring places the proxies' random ports at random: kill the
+		// home of the first cell, so the kill breaks attempts in flight.
+		ring := fleet.NewRing(0)
+		for _, u := range urls {
+			ring.Add(u)
+		}
+		home, _ := ring.Home(killIDs[0].Digest())
+		victim := proxies[slices.Index(urls, home)]
 		fr := flight.New(flight.Options{Process: "coordinator", Dir: t.TempDir()})
 		c := fleet.New(fleet.Options{
 			Backends:      urls,
@@ -251,7 +260,7 @@ func TestChaosMatrix(t *testing.T) {
 			got, runErr = c.RunCells(context.Background(), killIDs)
 		}()
 		time.Sleep(60 * time.Millisecond)
-		proxies[0].Kill()
+		victim.Kill()
 		<-done
 		if runErr != nil {
 			t.Fatalf("RunCells across a mid-job kill: %v", runErr)
@@ -284,7 +293,7 @@ func TestChaosMatrix(t *testing.T) {
 
 		// Recovery: revive the backend; the prober readmits it and the
 		// original assignment (and byte-identity) still holds.
-		proxies[0].Revive()
+		victim.Revive()
 		c.ProbeNow()
 		if n := len(c.Healthy()); n != 3 {
 			t.Fatalf("Healthy() = %d members after revival, want 3", n)

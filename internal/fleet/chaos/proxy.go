@@ -7,11 +7,10 @@
 // (probes included) until revived.
 //
 // The proxy is deliberately a library, not a binary: TestChaosMatrix
-// wraps real backends with it in-process, and cmd/wsrsload's fleet
-// bench uses it to measure scaling with one injected failure. Faults
-// are counted per proxy-wide request, so "every Nth request fails"
-// composes naturally with the coordinator's retries: a retried
-// request advances the counter and (usually) gets through.
+// wraps real backends with it in-process. Faults are counted per
+// proxy-wide request, so "every Nth request fails" composes naturally
+// with the coordinator's retries: a retried request advances the
+// counter and (usually) gets through.
 package chaos
 
 import (

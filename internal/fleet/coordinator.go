@@ -148,9 +148,6 @@ type Coordinator struct {
 	breakers map[string]*Breaker
 	health   *healthTracker
 
-	smu    sync.Mutex
-	bstats map[string]*backendStat // per-backend dispatch accounting
-
 	rmu sync.Mutex
 	rng *rand.Rand
 
@@ -190,7 +187,6 @@ func New(o Options) *Coordinator {
 		clients:  make(map[string]*serve.Client, len(o.Backends)),
 		breakers: make(map[string]*Breaker, len(o.Backends)),
 		health:   newHealthTracker(o.EjectAfter),
-		bstats:   make(map[string]*backendStat, len(o.Backends)),
 		rng:      rand.New(rand.NewSource(seed)),
 		stop:     make(chan struct{}),
 	}
@@ -198,7 +194,6 @@ func New(o Options) *Coordinator {
 		c.ring.Add(b)
 		c.clients[b] = &serve.Client{Base: b, HTTP: o.HTTP}
 		c.breakers[b] = NewBreaker(o.BreakerThreshold, o.BreakerCooldown)
-		c.bstats[b] = &backendStat{}
 	}
 	c.initMetrics()
 	if o.ProbeInterval > 0 && len(o.Backends) > 0 {
@@ -373,9 +368,7 @@ func (c *Coordinator) attempt(ctx context.Context, primary, digest string, id se
 		leg.SetStr("backend", backend)
 		leg.SetBool("hedged", hedged)
 		go func() {
-			legStart := time.Now()
 			res, err := c.runOn(otrace.ContextWith(actx, leg.Ctx()), backend, id)
-			c.recordAttempt(backend, time.Since(legStart), err)
 			switch {
 			case err == nil:
 				leg.SetStr("outcome", "ok")
@@ -407,7 +400,6 @@ func (c *Coordinator) attempt(ctx context.Context, primary, digest string, id se
 				br.Success()
 				if out.hedged {
 					c.reg.Counter(mHedgeWins, helpHedgeWins).Inc()
-					c.recordHedgeWin(out.backend)
 				}
 				return out.res, nil
 			}

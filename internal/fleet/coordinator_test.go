@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -28,6 +29,38 @@ func testCells(t *testing.T) []serve.CellID {
 				})
 			}
 		}
+	}
+	return out
+}
+
+// cellsHomedOn returns on cells whose ring home is member plus off
+// cells homed elsewhere, in testCells' shape. The ring places an
+// httptest URL at random, so a test that needs traffic on one member
+// picks its cells by their home instead of assuming some land there.
+func cellsHomedOn(t *testing.T, c *Coordinator, member string, on, off int) []serve.CellID {
+	t.Helper()
+	var out []serve.CellID
+	for seed := int64(1); on+off > 0; seed++ {
+		if seed > 10_000 {
+			t.Fatalf("no %d more cells homed on %s (%d elsewhere) in 10000 seeds", on, member, off)
+		}
+		id := serve.CellID{
+			Kernel:  []string{"gzip", "mcf"}[seed%2],
+			Config:  []string{string(wsrs.ConfRR256), string(wsrs.ConfWSRR384)}[seed/2%2],
+			Seed:    seed,
+			Warmup:  1000,
+			Measure: 5000,
+		}
+		home, _ := c.ring.Home(id.Digest())
+		switch {
+		case home == member && on > 0:
+			on--
+		case home != member && off > 0:
+			off--
+		default:
+			continue
+		}
+		out = append(out, id)
 	}
 	return out
 }
@@ -155,7 +188,7 @@ func TestRetriesRouteAroundDeadBackend(t *testing.T) {
 	backends = append(backends, deadURL)
 
 	c := newTestCoordinator(t, backends, nil)
-	ids := testCells(t)
+	ids := cellsHomedOn(t, c, deadURL, 3, 5)
 	got, err := c.RunCells(context.Background(), ids)
 	if err != nil {
 		t.Fatalf("RunCells with one dead backend: %v", err)
@@ -163,7 +196,7 @@ func TestRetriesRouteAroundDeadBackend(t *testing.T) {
 	if mustEncode(t, got) != mustEncode(t, localResults(t, ids)) {
 		t.Fatal("results with a dead backend are not byte-identical to the local run")
 	}
-	// Some cells homed on the dead member, so retries must have fired.
+	// Three cells homed on the dead member, so retries must have fired.
 	if counter(c.Registry(), mRetries) == 0 {
 		t.Fatal("no retries recorded although one backend was dead")
 	}
@@ -276,28 +309,26 @@ func TestHealthEjectsAndReadmits(t *testing.T) {
 	}
 }
 
-// delayed wraps a backend handler with a fixed per-request latency —
-// the straggler a hedge is meant to beat.
-type delayed struct {
-	h http.Handler
-	d time.Duration
-}
+// straggler holds every request until the client cancels it: a member
+// that never answers, so a cell homed on it resolves only through its
+// hedge. The body is drained first because the server notices a
+// client hang-up only once the body has been read.
+type straggler struct{}
 
-func (d *delayed) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	time.Sleep(d.d)
-	d.h.ServeHTTP(w, r)
+func (straggler) ServeHTTP(_ http.ResponseWriter, r *http.Request) {
+	_, _ = io.Copy(io.Discard, r.Body)
+	<-r.Context().Done()
 }
 
 func TestHedgingBeatsStragglers(t *testing.T) {
-	sSlow, _ := startBackend(t)
-	tsSlow := httptest.NewServer(&delayed{h: sSlow.Handler(), d: 250 * time.Millisecond})
+	tsSlow := httptest.NewServer(straggler{})
 	t.Cleanup(tsSlow.Close)
 	_, tsFast := startBackend(t)
 
 	c := newTestCoordinator(t, []string{tsSlow.URL, tsFast.URL}, func(o *Options) {
 		o.HedgeAfter = 25 * time.Millisecond
 	})
-	ids := testCells(t)
+	ids := cellsHomedOn(t, c, tsSlow.URL, 3, 5)
 	got, err := c.RunCells(context.Background(), ids)
 	if err != nil {
 		t.Fatalf("RunCells: %v", err)
@@ -305,13 +336,13 @@ func TestHedgingBeatsStragglers(t *testing.T) {
 	if mustEncode(t, got) != mustEncode(t, localResults(t, ids)) {
 		t.Fatal("hedged results are not byte-identical to the local run")
 	}
-	// Several cells homed on the slow member; their hedges launched
-	// and (at 10x the latency gap) won.
+	// Three cells homed on the straggler; their hedges launched and,
+	// the straggler never answering, won.
 	if counter(c.Registry(), mHedges) == 0 {
-		t.Fatal("no hedges launched against a 250ms straggler")
+		t.Fatal("no hedges launched against a straggler")
 	}
 	if counter(c.Registry(), mHedgeWins) == 0 {
-		t.Fatal("no hedge wins recorded against a 250ms straggler")
+		t.Fatal("no hedge wins recorded against a straggler")
 	}
 }
 
@@ -325,7 +356,9 @@ func TestBreakerShieldsDeadBackend(t *testing.T) {
 		o.BreakerThreshold = 2
 		o.BreakerCooldown = time.Hour // stays open for the whole test
 	})
-	ids := testCells(t)
+	// Three cells homed on the dead member fail there first: one more
+	// than the threshold.
+	ids := cellsHomedOn(t, c, deadURL, 3, 5)
 	if _, err := c.RunCells(context.Background(), ids); err != nil {
 		t.Fatalf("RunCells: %v", err)
 	}

@@ -3,8 +3,6 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"sort"
-	"time"
 
 	"wsrs/internal/otrace"
 	"wsrs/internal/otrace/federate"
@@ -13,8 +11,7 @@ import (
 
 // This file is the coordinator's observability surface: the
 // serve.FleetObserver implementation behind /v1/fleet/metrics,
-// /v1/fleet/status and stitched traces, plus the per-backend dispatch
-// accounting wsrsload -fleet reports.
+// /v1/fleet/status and stitched traces.
 
 // FleetMembers lists every configured backend, up or down — the
 // federation fan-out targets. Implements serve.FleetObserver.
@@ -53,79 +50,6 @@ func (c *Coordinator) FleetHealth() []federate.MemberHealth {
 			Breaker: c.breakers[b].State(),
 		})
 	}
-	return out
-}
-
-// backendStat is the mutable per-backend dispatch accounting (guarded
-// by Coordinator.smu).
-type backendStat struct {
-	attempts  uint64
-	failures  uint64
-	hedgeWins uint64
-	totalNs   int64
-	maxNs     int64
-}
-
-// BackendStat is one backend's dispatch summary for reporting:
-// attempts, failures, hedge wins, and attempt-latency aggregates.
-type BackendStat struct {
-	Backend   string  `json:"backend"`
-	Attempts  uint64  `json:"attempts"`
-	Failures  uint64  `json:"failures"`
-	HedgeWins uint64  `json:"hedge_wins"`
-	MeanMs    float64 `json:"mean_ms"`
-	MaxMs     float64 `json:"max_ms"`
-}
-
-// recordAttempt folds one dispatched leg's outcome into the backend's
-// stats.
-func (c *Coordinator) recordAttempt(backend string, d time.Duration, err error) {
-	c.smu.Lock()
-	defer c.smu.Unlock()
-	st := c.bstats[backend]
-	if st == nil {
-		return
-	}
-	st.attempts++
-	if err != nil {
-		st.failures++
-	}
-	ns := d.Nanoseconds()
-	st.totalNs += ns
-	if ns > st.maxNs {
-		st.maxNs = ns
-	}
-}
-
-// recordHedgeWin credits a hedge leg that beat the original attempt.
-func (c *Coordinator) recordHedgeWin(backend string) {
-	c.smu.Lock()
-	defer c.smu.Unlock()
-	if st := c.bstats[backend]; st != nil {
-		st.hedgeWins++
-	}
-}
-
-// BackendStats returns the per-backend dispatch summary, sorted by
-// backend — the table wsrsload -fleet prints after a run.
-func (c *Coordinator) BackendStats() []BackendStat {
-	c.smu.Lock()
-	defer c.smu.Unlock()
-	out := make([]BackendStat, 0, len(c.bstats))
-	for b, st := range c.bstats {
-		row := BackendStat{
-			Backend:   b,
-			Attempts:  st.attempts,
-			Failures:  st.failures,
-			HedgeWins: st.hedgeWins,
-			MaxMs:     float64(st.maxNs) / 1e6,
-		}
-		if st.attempts > 0 {
-			row.MeanMs = float64(st.totalNs) / float64(st.attempts) / 1e6
-		}
-		out = append(out, row)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Backend < out[j].Backend })
 	return out
 }
 

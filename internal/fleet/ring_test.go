@@ -134,6 +134,25 @@ func TestRingEmpty(t *testing.T) {
 	}
 }
 
+// ringSeqAllocBudget is what one Seq(d, 3) lookup allocates: the
+// returned slice and the decoded digest.
+const ringSeqAllocBudget = 2
+
+func TestRingSeqAllocBudget(t *testing.T) {
+	r := NewRing(0)
+	for i := 0; i < 8; i++ {
+		r.Add(fmt.Sprintf("http://backend-%d", i))
+	}
+	digests := testDigests(256)
+	i := 0
+	if avg := testing.AllocsPerRun(1000, func() {
+		r.Seq(digests[i%len(digests)], 3)
+		i++
+	}); avg > ringSeqAllocBudget {
+		t.Errorf("Ring.Seq(d, 3): %.1f allocs/op, budget %d", avg, ringSeqAllocBudget)
+	}
+}
+
 func BenchmarkCoreRingSeq(b *testing.B) {
 	r := NewRing(0)
 	for i := 0; i < 8; i++ {

@@ -4,8 +4,8 @@ package otrace
 // stays enabled in production, so Begin / SetStr / SetInt / SetBool /
 // End must not allocate in steady state — spans live on the caller's
 // stack and are copied by value into the preallocated ring. The test
-// pins the budget exactly; the BenchmarkCoreSpan* entries feed the
-// bench gate (allocs/op compared against the committed baseline).
+// pins the budget exactly; the BenchmarkCoreSpan* entries time the
+// same calls under `go test -bench Core`.
 
 import "testing"
 

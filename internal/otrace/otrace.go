@@ -11,8 +11,7 @@
 //   - Spans are plain values (fixed-size attribute array, no maps, no
 //     boxed interfaces) recorded into a preallocated ring buffer. The
 //     steady-state hot path — Begin, SetInt/SetStr, End — performs
-//     zero heap allocations (pinned by alloc_test.go and the
-//     BenchmarkCoreSpan* entries in the bench gate).
+//     zero heap allocations (pinned by alloc_test.go).
 //   - The Recorder exposes Reset(), restoring freshly-constructed
 //     semantics while reusing the ring's capacity.
 //   - Timestamps are nanoseconds on the process-local monotonic clock

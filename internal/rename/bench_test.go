@@ -6,9 +6,9 @@ import (
 	"wsrs/internal/isa"
 )
 
-// The BenchmarkCore* set pins the per-event cost of the simulator's
-// hottest structures; cmd/benchjson turns `go test -bench Core` output
-// into the BENCH_core.json baseline at the repository root.
+// The BenchmarkCore* set times the per-event cost of the simulator's
+// hottest structures under `go test -bench Core`; the AllocsPerRun
+// tests beside them hold their allocation counts.
 
 var benchPhys PhysReg
 

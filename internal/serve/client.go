@@ -16,8 +16,9 @@ import (
 )
 
 // Client is a small job-API client: submit, poll, fetch results. It
-// is what cmd/wsrsload and the end-to-end tests drive, so the load
-// numbers measure exactly the path a real consumer takes.
+// is what the fleet coordinator, the benchmark and the end-to-end
+// tests drive, so the benchmark's numbers measure exactly the path a
+// real consumer takes.
 type Client struct {
 	// Base is the daemon address, e.g. "http://127.0.0.1:8080".
 	Base string
@@ -248,8 +249,8 @@ func (c *Client) Ready(ctx context.Context) error {
 }
 
 // WaitReady polls /readyz until the daemon is up and accepting jobs or
-// ctx expires — what wsrsload runs before opening load, so a daemon
-// mid-start or mid-drain is never mistaken for a broken one.
+// ctx expires — what a load generator runs before opening load, so a
+// daemon mid-start or mid-drain is never mistaken for a broken one.
 func (c *Client) WaitReady(ctx context.Context, poll time.Duration) error {
 	if poll <= 0 {
 		poll = 50 * time.Millisecond

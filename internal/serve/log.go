@@ -13,22 +13,16 @@ import (
 
 // NewLogHandler builds the slog handler the daemon binaries share:
 // "json" selects one JSON object per line (machine-shippable),
-// anything else the slog text handler. Exposed separately from
-// NewLogger so wsrsd can interpose the flight recorder's tee between
-// the logger and the sink.
+// anything else the slog text handler. It returns the handler, not a
+// logger, so wsrsd can interpose the flight recorder's tee between
+// the logger and the sink. Every job-lifecycle line the server emits
+// carries trace_id/job_id attributes so client logs, server logs and
+// span exports correlate on the same identifiers.
 func NewLogHandler(w io.Writer, format string) slog.Handler {
 	if strings.EqualFold(format, "json") {
 		return slog.NewJSONHandler(w, nil)
 	}
 	return slog.NewTextHandler(w, nil)
-}
-
-// NewLogger builds the structured logger the daemon binaries share.
-// Every job-lifecycle line the server emits carries trace_id/job_id
-// attributes so client logs, server logs and span exports correlate on
-// the same identifiers.
-func NewLogger(w io.Writer, format string) *slog.Logger {
-	return slog.New(NewLogHandler(w, format))
 }
 
 // discardLogger silences servers built without an explicit logger

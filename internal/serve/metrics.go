@@ -11,8 +11,8 @@ import (
 
 // Metric families of the daemon, built on the PR 4 telemetry
 // registry: per-endpoint request counts and latency, job outcomes,
-// queue pressure, and the cache/coalescing counters the load-test
-// harness and CI assert against.
+// queue pressure, and the cache/coalescing counters the benchmark and
+// CI assert against.
 const (
 	mRequests    = "wsrsd_http_requests_total"
 	helpRequests = "job-API requests by endpoint and status code"
@@ -58,59 +58,19 @@ const (
 
 	mPhaseUs       = "wsrsd_phase_us"
 	helpPhaseUs    = "per-phase latency decomposition in microseconds (queue, coalesce, cache, simulate, total)"
-	mSLOTargetMs   = "wsrsd_slo_target_ms"
-	helpSLOTarget  = "recorded latency objective per phase in milliseconds"
-	mSLOObjective  = "wsrsd_slo_objective_milli"
-	helpSLOObj     = "recorded objective fraction per phase, in thousandths (990 = 99%)"
-	mSLOGood       = "wsrsd_slo_good_total"
-	helpSLOGood    = "phase observations within their latency target"
-	mSLOBreach     = "wsrsd_slo_breach_total"
-	helpSLOBreach  = "phase observations beyond their latency target"
-	mSLOBurn       = "wsrsd_slo_burn_rate_milli"
-	helpSLOBurn    = "SLO burn rate per phase in thousandths (1000 = burning the error budget exactly as fast as allowed)"
 	mTraceSpans    = "wsrsd_trace_spans"
 	helpTraceSpans = "spans currently held in the trace ring"
 	mTraceEvicted  = "wsrsd_trace_spans_evicted_total"
 	helpTraceEvict = "spans evicted from the trace ring by wraparound"
 )
 
-// phaseSLO is the per-phase SLO state: the registered metric handles
-// are resolved once so the observation hot path never touches the
-// registry lock or allocates.
-type phaseSLO struct {
-	target      SLOTarget
-	thresholdUs int64
-	hist        *telemetry.Histogram
-	good        *telemetry.Counter
-	breach      *telemetry.Counter
-	burn        *telemetry.Gauge
-}
-
-// observePhase feeds one phase duration to all three consumers: the
-// histogram family, the /v1/phases sample log, and the SLO counters
-// plus the derived burn-rate gauge.
+// observePhase feeds one phase duration to the wsrsd_phase_us
+// histogram, the /v1/phases sample log and the flight recorder.
 func (s *Server) observePhase(phase string, d time.Duration) {
 	us := d.Microseconds()
 	s.phases.add(phase, us)
 	s.fr.Record(flightrec.Event{Kind: flightrec.KindPhase, Name: phase, Value: us})
-	p := s.slo[phase]
-	if p == nil {
-		return
-	}
-	p.hist.Observe(uint64(us))
-	if us <= p.thresholdUs {
-		p.good.Inc()
-	} else {
-		p.breach.Inc()
-	}
-	good, breach := p.good.Load(), p.breach.Load()
-	if total := good + breach; total > 0 {
-		frac := float64(breach) / float64(total)
-		budget := 1 - p.target.Objective
-		if budget > 0 {
-			p.burn.Set(int64(1000 * frac / budget))
-		}
-	}
+	s.phaseHist[phase].Observe(uint64(us))
 }
 
 // initMetrics registers the families up front so a scrape before the
@@ -143,28 +103,11 @@ func (s *Server) initMetrics() {
 		s.reg.Counter(mExplorePoints+telemetry.Labels("disposition", d), helpExplorePoints)
 	}
 
-	// The SLO layer: one histogram + good/breach counters + burn-rate
-	// gauge per phase, with the targets themselves recorded as gauges
-	// so a bare scrape documents the objectives.
-	targets := s.opts.SLO
-	if len(targets) == 0 {
-		targets = DefaultSLOTargets()
-	}
-	s.slo = make(map[string]*phaseSLO, len(targets))
-	for _, t := range targets {
-		lb := telemetry.Labels("phase", t.Phase)
-		p := &phaseSLO{
-			target:      t,
-			thresholdUs: int64(t.TargetMs * 1000),
-			hist:        s.reg.Histogram(mPhaseUs+lb, helpPhaseUs),
-			good:        s.reg.Counter(mSLOGood+lb, helpSLOGood),
-			breach:      s.reg.Counter(mSLOBreach+lb, helpSLOBreach),
-			burn:        s.reg.Gauge(mSLOBurn+lb, helpSLOBurn),
-		}
-		s.reg.Gauge(mSLOTargetMs+lb, helpSLOTarget).Set(int64(t.TargetMs))
-		s.reg.Gauge(mSLOObjective+lb, helpSLOObj).Set(int64(t.Objective * 1000))
-		s.slo[t.Phase] = p
-		s.sloTargets = append(s.sloTargets, t)
+	// One histogram per phase, resolved once so the observation hot
+	// path never touches the registry lock.
+	s.phaseHist = make(map[string]*telemetry.Histogram, len(PhaseNames))
+	for _, phase := range PhaseNames {
+		s.phaseHist[phase] = s.reg.Histogram(mPhaseUs+telemetry.Labels("phase", phase), helpPhaseUs)
 	}
 }
 

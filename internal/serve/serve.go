@@ -20,8 +20,8 @@
 //     sha256 digest of a cell's identity, generalizing the JSONL
 //     checkpoint store: in-memory LRU, optional JSONL persistence,
 //     and singleflight coalescing of duplicate in-flight cells.
-//   - Loadgen (loadgen.go, client.go): a closed-loop load generator
-//     and the small job-API client it and the tests drive.
+//   - Client (client.go): the small job-API client the fleet
+//     coordinator, the CLIs, the benchmark and the tests drive.
 package serve
 
 import (

@@ -51,9 +51,6 @@ type Options struct {
 	// PhaseSamples bounds the /v1/phases sample log (<= 0 selects
 	// 8192).
 	PhaseSamples int
-	// SLO overrides the recorded per-phase latency objectives (nil
-	// selects DefaultSLOTargets).
-	SLO []SLOTarget
 	// Logger receives the structured job-lifecycle and access log
 	// (nil discards).
 	Logger *slog.Logger
@@ -219,8 +216,7 @@ type Server struct {
 	slow    *slowRing
 	log     *slog.Logger
 
-	slo        map[string]*phaseSLO
-	sloTargets []SLOTarget
+	phaseHist map[string]*telemetry.Histogram // wsrsd_phase_us by phase
 
 	ctx    context.Context // parent of every job context
 	cancel context.CancelFunc
@@ -364,7 +360,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 // handleReady reports readiness to accept NEW jobs: 503 from the
 // moment the drain starts (before the listener closes), so load
-// balancers and wsrsload stop routing work at the first SIGTERM.
+// balancers and clients stop routing work at the first SIGTERM.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		http.Error(w, "draining", http.StatusServiceUnavailable)

@@ -137,8 +137,7 @@ func chromeEvents(spans []otrace.Span) []telemetry.TraceEvent {
 
 // handlePhases serves the phase-sample page after the ?since cursor —
 // the raw samples behind the wsrsd_phase_us histograms, so clients
-// (wsrsload) compute exact percentiles instead of decoding
-// power-of-two buckets.
+// compute exact percentiles instead of decoding power-of-two buckets.
 func (s *Server) handlePhases(w http.ResponseWriter, r *http.Request) {
 	var since uint64
 	if v := r.URL.Query().Get("since"); v != "" {
@@ -150,9 +149,7 @@ func (s *Server) handlePhases(w http.ResponseWriter, r *http.Request) {
 		}
 		since = n
 	}
-	page := s.phases.page(since)
-	page.Targets = s.sloTargets
-	writeJSON(w, http.StatusOK, page)
+	writeJSON(w, http.StatusOK, s.phases.page(since))
 }
 
 // handleSlow serves the ring of the slowest recent jobs with their

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"regexp"
 	"strings"
@@ -301,8 +302,8 @@ func TestErrorEnvelopeTraceID(t *testing.T) {
 }
 
 // TestPhasesCursor drives the /v1/phases monotone-cursor protocol the
-// way wsrsload does: capture the cursor, run work, read exactly the
-// new samples, and observe an empty page once caught up.
+// way the benchmark does: capture the cursor, run work, read exactly
+// the new samples, and observe an empty page once caught up.
 func TestPhasesCursor(t *testing.T) {
 	srv, client, _ := testServer(t, Options{Workers: 1})
 	defer srv.Drain(context.Background())
@@ -328,14 +329,6 @@ func TestPhasesCursor(t *testing.T) {
 	page, err := client.Phases(ctx, start.Next)
 	if err != nil {
 		t.Fatalf("Phases(since=%d): %v", start.Next, err)
-	}
-	if len(page.Targets) == 0 {
-		t.Fatal("page carries no SLO targets")
-	}
-	for _, tgt := range page.Targets {
-		if tgt.Objective <= 0 || tgt.Objective > 1 || tgt.TargetMs <= 0 {
-			t.Errorf("malformed SLO target %+v", tgt)
-		}
 	}
 	seen := map[string]int{}
 	for _, s := range page.Samples {
@@ -401,7 +394,7 @@ func TestDebugSlow(t *testing.T) {
 // the API returned — the grep path from a slow request to its logs.
 func TestStructuredLogCarriesTrace(t *testing.T) {
 	var buf syncBuffer
-	srv, client, _ := testServer(t, Options{Workers: 1, Logger: NewLogger(&buf, "json")})
+	srv, client, _ := testServer(t, Options{Workers: 1, Logger: slog.New(NewLogHandler(&buf, "json"))})
 	defer srv.Drain(context.Background())
 
 	final := submitWait(t, client, &JobRequest{

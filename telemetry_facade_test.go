@@ -188,22 +188,28 @@ func TestManifestDigestStable(t *testing.T) {
 	}
 }
 
-// BenchmarkCoreGridDispatch measures the worker-pool cost of pushing
-// small cells through RunGrid over the memoized trace cache.
-func BenchmarkCoreGridDispatch(b *testing.B) {
-	cells := []GridCell{
+// dispatchCells and dispatchOpts are a grid small enough that
+// RunGrid's own dispatch work is visible next to the simulations:
+// four cells of one kernel over the memoized trace cache.
+var (
+	dispatchCells = []GridCell{
 		{Kernel: "gzip", Config: ConfRR256},
 		{Kernel: "gzip", Config: ConfWSRR384},
 		{Kernel: "gzip", Config: ConfWSRSRC512},
 		{Kernel: "gzip", Config: ConfWSRSRM512},
 	}
-	opts := SimOpts{WarmupInsts: 500, MeasureInsts: 2000}
-	if _, err := RunGrid(cells, opts, 0); err != nil {
+	dispatchOpts = SimOpts{WarmupInsts: 500, MeasureInsts: 2000}
+)
+
+// BenchmarkCoreGridDispatch measures the worker-pool cost of pushing
+// small cells through RunGrid over the memoized trace cache.
+func BenchmarkCoreGridDispatch(b *testing.B) {
+	if _, err := RunGrid(dispatchCells, dispatchOpts, 0); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunGrid(cells, opts, 0); err != nil {
+		if _, err := RunGrid(dispatchCells, dispatchOpts, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
