@@ -134,7 +134,7 @@ func BenchmarkAblationRecycleDepth(b *testing.B) {
 // BenchmarkAblationRegisterSweep extends the paper's 384/512
 // comparison: WSRS IPC as the physical register budget varies. The
 // 256-register point has 64-register subsets (fewer than the 84
-// renamable logical registers) and needs the §2.3 deadlock
+// renamable logical registers) and relies on the §2.3 move
 // workaround.
 func BenchmarkAblationRegisterSweep(b *testing.B) {
 	for _, regs := range []int{256, 384, 512, 768} {
@@ -142,8 +142,7 @@ func BenchmarkAblationRegisterSweep(b *testing.B) {
 		b.Run(fmt.Sprintf("regs-%d", regs), func(b *testing.B) {
 			var ipc, moves float64
 			for i := 0; i < b.N; i++ {
-				res, err := RunKernelWith(ConfWSRSRC512, "gzip", benchOpts, "",
-					WithRegisters(regs), WithDeadlockMoves())
+				res, err := RunKernelWith(ConfWSRSRC512, "gzip", benchOpts, "", WithRegisters(regs))
 				if err != nil {
 					b.Fatal(err)
 				}

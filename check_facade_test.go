@@ -14,14 +14,15 @@ import (
 // TestDeadlockWithoutMovesTripsWatchdog reproduces the paper's §2.3
 // hazard on the facade: with write specialization, a register budget
 // well below (subsets x logical registers) can strand every subset-0
-// mapping and stop rename forever. Without the move workaround the
-// forward-progress watchdog must catch it — deterministically, at the
-// same cycle on every run.
+// mapping and stop rename forever. With the always-on move workaround
+// switched off by hand, the forward-progress watchdog must catch it —
+// deterministically, at the same cycle on every run.
 func TestDeadlockWithoutMovesTripsWatchdog(t *testing.T) {
 	opts := SimOpts{WarmupInsts: 3000, MeasureInsts: 20000, Watchdog: 4000}
+	noMoves := func(c *pipeline.Config) { c.DeadlockMoves = false }
 	var firstCycle int64
 	for i := 0; i < 2; i++ {
-		_, err := RunKernelWith(ConfWSRSRC512, "gzip", opts, "", WithRegisters(88))
+		_, err := RunKernelWith(ConfWSRSRC512, "gzip", opts, "", WithRegisters(88), noMoves)
 		var v *CheckViolation
 		if !errors.As(err, &v) || v.Checker != "watchdog" {
 			t.Fatalf("run %d returned %v, want a watchdog violation", i, err)
@@ -38,14 +39,13 @@ func TestDeadlockWithoutMovesTripsWatchdog(t *testing.T) {
 }
 
 // TestDeadlockMovesRecoverUnderFullCheck is the other half of §2.3:
-// the same starved machine with the move workaround enabled commits
-// everything, injects moves, and survives the full self-checking
-// layer — oracle, legality and conservation audits — proving the
-// moves themselves keep the free lists conserved.
+// the same starved machine, with the move workaround on as in every
+// configuration, commits everything, injects moves, and survives the
+// full self-checking layer — oracle, legality and conservation audits
+// — proving the moves themselves keep the free lists conserved.
 func TestDeadlockMovesRecoverUnderFullCheck(t *testing.T) {
 	opts := SimOpts{WarmupInsts: 3000, MeasureInsts: 20000, Watchdog: 4000, Check: true}
-	res, err := RunKernelWith(ConfWSRSRC512, "gzip", opts, "",
-		WithRegisters(88), WithDeadlockMoves())
+	res, err := RunKernelWith(ConfWSRSRC512, "gzip", opts, "", WithRegisters(88))
 	if err != nil {
 		t.Fatal(err)
 	}

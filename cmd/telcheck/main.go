@@ -20,10 +20,13 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"regexp"
 	"strconv"
 	"strings"
+
+	"wsrs/internal/explore"
 )
 
 func main() {
@@ -378,14 +381,15 @@ func checkFleetTrace(path string, minProcesses int, require string) {
 		path, len(doc.Processes), live, len(ids), doc.TraceID)
 }
 
-// exploreEval mirrors the objective fields of one explore.Eval — the
-// checker re-verifies Pareto properties from the serialized objectives
-// alone, with no dependency on the explore package.
+// exploreEval is one evaluated point of a frontier document: its
+// identity and the objectives the checker re-verifies Pareto
+// properties from.
 type exploreEval struct {
-	Digest   string  `json:"digest"`
-	IPC      float64 `json:"ipc"`
-	EnergyPJ float64 `json:"energy_pj_per_inst"`
-	Area     float64 `json:"area_units"`
+	Point    explore.Point `json:"point"`
+	Digest   string        `json:"digest"`
+	IPC      float64       `json:"ipc"`
+	EnergyPJ float64       `json:"energy_pj_per_inst"`
+	Area     float64       `json:"area_units"`
 }
 
 // dominates re-implements explore.Dominates over serialized
@@ -398,41 +402,48 @@ func dominates(a, b exploreEval) bool {
 	return a.IPC > b.IPC || a.EnergyPJ < b.EnergyPJ || a.Area < b.Area
 }
 
-// checkExplore validates an explore frontier document: well-formed
-// digests, consistent point accounting (selected = evaluated + pruned
-// for exhaustive strategies), a frontier that is genuinely
-// non-dominated (re-verified pairwise from the serialized objectives),
-// and dominated-point provenance whose witness is a frontier member
-// that actually dominates it.
+// checkExplore validates an explore frontier document: every point's
+// digest is the digest of its point, the point accounting is
+// consistent (selected = evaluated + pruned for exhaustive
+// strategies), the frontier is genuinely non-dominated (re-verified
+// pairwise from the serialized objectives), every dominated point's
+// witness is a frontier member that actually dominates it, and every
+// pruned point obeys the surplus-regs rule: its witness is the same
+// point with a smaller register file from the space's register axis,
+// both files are rename-sufficient (explore.RegsSufficient), and — for
+// grid and random searches, which evaluate every survivor — the
+// witness was evaluated.
 func checkExplore(path string) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fatalf("%v", err)
 	}
 	var doc struct {
-		Version     int    `json:"version"`
-		SpaceDigest string `json:"space_digest"`
-		Strategy    string `json:"strategy"`
-		RawPoints   int    `json:"raw_points"`
-		Skipped     int    `json:"skipped_invalid"`
-		Selected    int    `json:"selected"`
-		Evaluated   int    `json:"evaluated"`
+		Version     int           `json:"version"`
+		SpaceDigest string        `json:"space_digest"`
+		Space       explore.Space `json:"space"`
+		Strategy    string        `json:"strategy"`
+		RawPoints   int           `json:"raw_points"`
+		Skipped     int           `json:"skipped_invalid"`
+		Selected    int           `json:"selected"`
+		Evaluated   int           `json:"evaluated"`
 		Frontier    []exploreEval
 		Dominated   []struct {
 			exploreEval
 			DominatedBy string `json:"dominated_by"`
 		} `json:"dominated"`
 		Pruned []struct {
-			Digest string `json:"digest"`
-			By     string `json:"pruned_by"`
-			Reason string `json:"reason"`
+			Point  explore.Point `json:"point"`
+			Digest string        `json:"digest"`
+			By     string        `json:"pruned_by"`
+			Reason string        `json:"reason"`
 		} `json:"pruned"`
 	}
 	if err := json.Unmarshal(data, &doc); err != nil {
 		fatalf("%s: not valid JSON: %v", path, err)
 	}
-	if doc.Version != 1 {
-		fatalf("%s: unknown document version %d", path, doc.Version)
+	if doc.Version != 2 {
+		fatalf("%s: unknown document version %d (want 2)", path, doc.Version)
 	}
 	if !hexDigest.MatchString(doc.SpaceDigest) {
 		fatalf("%s: space_digest %q is not a sha256 hex string", path, doc.SpaceDigest)
@@ -455,7 +466,8 @@ func checkExplore(path string) {
 	}
 	// Exhaustive strategies account for every selected point; halving
 	// drops candidates between rounds, so only the bound holds.
-	if doc.Strategy != "halving" && doc.Evaluated+len(doc.Pruned) != doc.Selected {
+	exhaustive := doc.Strategy != "halving"
+	if exhaustive && doc.Evaluated+len(doc.Pruned) != doc.Selected {
 		fatalf("%s: evaluated %d + pruned %d != selected %d",
 			path, doc.Evaluated, len(doc.Pruned), doc.Selected)
 	}
@@ -469,9 +481,9 @@ func checkExplore(path string) {
 
 	onFrontier := map[string]exploreEval{}
 	seen := map[string]bool{}
-	record := func(d string) {
-		if !hexDigest.MatchString(d) {
-			fatalf("%s: point digest %q is not a sha256 hex string", path, d)
+	record := func(p explore.Point, d string) {
+		if p.Digest() != d {
+			fatalf("%s: digest %q is not the digest of point %s", path, d, p.Encode())
 		}
 		if seen[d] {
 			fatalf("%s: point digest %s appears twice", path, d)
@@ -479,7 +491,7 @@ func checkExplore(path string) {
 		seen[d] = true
 	}
 	for _, e := range doc.Frontier {
-		record(e.Digest)
+		record(e.Point, e.Digest)
 		onFrontier[e.Digest] = e
 	}
 	for i, a := range doc.Frontier {
@@ -491,7 +503,7 @@ func checkExplore(path string) {
 		}
 	}
 	for _, d := range doc.Dominated {
-		record(d.Digest)
+		record(d.Point, d.Digest)
 		w, ok := onFrontier[d.DominatedBy]
 		if !ok {
 			fatalf("%s: dominated point %s names witness %q not on the frontier",
@@ -502,10 +514,33 @@ func checkExplore(path string) {
 				path, w.Digest[:12], d.Digest[:12])
 		}
 	}
-	for i, p := range doc.Pruned {
-		record(p.Digest)
-		if p.By == "" || p.Reason == "" {
-			fatalf("%s: pruned point %d (%s) carries no rule/reason provenance", path, i, p.Digest[:12])
+	evaluated := maps.Clone(seen)
+	for _, p := range doc.Pruned {
+		record(p.Point, p.Digest)
+		if p.Reason != "surplus-regs" {
+			fatalf("%s: pruned point %s has unknown rule %q", path, p.Digest[:12], p.Reason)
+		}
+		if exhaustive && !evaluated[p.By] {
+			fatalf("%s: pruned point %s names witness %q that was not evaluated", path, p.Digest[:12], p.By)
+		}
+		var witness *explore.Point
+		for _, regs := range doc.Space.Regs {
+			w := p.Point
+			w.Regs = regs
+			if w.Digest() == p.By {
+				witness = &w
+				break
+			}
+		}
+		switch {
+		case witness == nil:
+			fatalf("%s: witness %q of pruned point %s is not that point with another register file of the space",
+				path, p.By, p.Point.Encode())
+		case witness.Regs >= p.Point.Regs:
+			fatalf("%s: pruned point %s has a witness with %d registers, not fewer", path, p.Point.Encode(), witness.Regs)
+		case !explore.RegsSufficient(p.Point) || !explore.RegsSufficient(*witness):
+			fatalf("%s: pruned point %s or its witness %s is not rename-sufficient, so their timing may differ",
+				path, p.Point.Encode(), witness.Encode())
 		}
 	}
 	fmt.Printf("telcheck: explore %s: %s over %d points (%d skipped, %d pruned), frontier %d, dominated %d\n",

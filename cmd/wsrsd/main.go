@@ -32,9 +32,9 @@
 //	GET    /metrics /healthz /readyz /debug/vars /debug/pprof/
 //
 // Design-space exploration jobs run the internal/explore search
-// (grid / seeded random / successive halving with the analytic
-// pre-filter) over the same worker pool, cache and — in coordinator
-// mode — fleet scatter path as plain jobs:
+// (grid / seeded random / successive halving behind the exact
+// surplus-registers pre-filter) over the same worker pool, cache and
+// — in coordinator mode — fleet scatter path as plain jobs:
 //
 //	POST   /v1/explore            submit an exploration (202; the same
 //	                              400/429/503 admission contract as

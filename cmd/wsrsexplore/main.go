@@ -9,12 +9,17 @@
 // two modes render the same bytes for the same request.
 //
 // The space is given axis by axis as comma-separated value lists; the
-// defaults reproduce the CI smoke space.
+// defaults reproduce the CI smoke space. Before any simulation, every
+// point whose register file is larger than an otherwise identical,
+// already rename-sufficient one is pruned: the two simulate
+// cycle-identically. Pruned points are listed in the document with
+// that smaller witness.
 //
 // Usage:
 //
 //	wsrsexplore                                       # smoke space, local
 //	wsrsexplore -clusters 2,4,8 -regs 512,1024 -policies RR,RC
+//	wsrsexplore -clusters 4 -regs 128,384 -spec write,wsrs -policies RC,RM
 //	wsrsexplore -strategy halving -rounds 3 -out frontier.json
 //	wsrsexplore -addr http://127.0.0.1:8080 -out frontier.json
 package main
@@ -49,8 +54,6 @@ func main() {
 	samples := flag.Int("samples", 0, "random strategy: sample size (0 = default)")
 	rounds := flag.Int("rounds", 0, "halving strategy: evaluation rounds (0 = default)")
 	eta := flag.Int("eta", 0, "halving strategy: keep ceil(n/eta) per round (0 = default)")
-	prefilter := flag.Bool("prefilter", true, "apply the analytic M/M/c pre-filter")
-	margin := flag.Float64("margin", 0, "pre-filter safety margin (0 = default)")
 	warmup := flag.Uint64("warmup", 2_000, "warmup instructions per cell")
 	measure := flag.Uint64("measure", 8_000, "measured instructions per cell")
 	parallelism := flag.Int("parallelism", 0, "local mode: simulation workers (0 = GOMAXPROCS)")
@@ -61,8 +64,7 @@ func main() {
 
 	req := explore.Request{
 		Strategy: *strategy, Seed: *seed, Samples: *samples,
-		Rounds: *rounds, Eta: *eta, Prefilter: prefilter, Margin: *margin,
-		Warmup: *warmup, Measure: *measure,
+		Rounds: *rounds, Eta: *eta, Warmup: *warmup, Measure: *measure,
 	}
 	var err error
 	if req.Space, err = parseSpace(*clusters, *widths, *regs, *iq, *rob, *spec, *policies, *kernels); err != nil {

@@ -121,7 +121,7 @@ func main() {
 		mods = append(mods, wsrs.WithXClusterDelay(*xdelay))
 	}
 	if *regs > 0 {
-		mods = append(mods, wsrs.WithRegisters(*regs), wsrs.WithDeadlockMoves())
+		mods = append(mods, wsrs.WithRegisters(*regs))
 	}
 	if *impl1 > 0 {
 		mods = append(mods, wsrs.WithRenameImpl1(*impl1))

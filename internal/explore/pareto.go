@@ -19,15 +19,13 @@ type KernelEval struct {
 
 // Eval is one fully-evaluated design point: cycle-accurate IPC and
 // priced dynamic energy averaged over the kernel set (in sorted kernel
-// order, so the floats are bit-reproducible), plus the analytic area
-// proxy.
+// order, so the floats are bit-reproducible), plus the area proxy.
 type Eval struct {
 	Point    Point        `json:"point"`
 	Digest   string       `json:"digest"`
 	IPC      float64      `json:"ipc"`
 	EnergyPJ float64      `json:"energy_pj_per_inst"`
 	Area     float64      `json:"area_units"`
-	Analytic Analytic     `json:"analytic"`
 	Kernels  []KernelEval `json:"kernels,omitempty"`
 }
 
@@ -102,15 +100,13 @@ func Frontier(evals []Eval) (frontier []Eval, dominated []DomEval) {
 // same exploration twice yields byte-identical output: there are no
 // timestamps, no map iteration, and every slice has a defined order.
 type Document struct {
-	Version     int     `json:"version"`
-	SpaceDigest string  `json:"space_digest"`
-	Space       Space   `json:"space"` // canonical form
-	Strategy    string  `json:"strategy"`
-	Seed        int64   `json:"seed"`
-	Warmup      uint64  `json:"warmup_insts"`
-	Measure     uint64  `json:"measure_insts"`
-	Prefiltered bool    `json:"prefiltered"`
-	Margin      float64 `json:"margin,omitempty"`
+	Version     int    `json:"version"`
+	SpaceDigest string `json:"space_digest"`
+	Space       Space  `json:"space"` // canonical form
+	Strategy    string `json:"strategy"`
+	Seed        int64  `json:"seed"`
+	Warmup      uint64 `json:"warmup_insts"`
+	Measure     uint64 `json:"measure_insts"`
 
 	// Accounting: RawPoints is the full cross product, Skipped the
 	// jointly-invalid combinations Enumerate dropped, Selected the

@@ -7,151 +7,22 @@ import (
 	"wsrs/internal/isa"
 )
 
-// The analytic pre-filter scores a design point in microseconds with a
-// small M/M/c/K queuing model of per-cluster FU/IQ occupancy (after
-// the FU/IQ configuration model of arXiv 1807.08586): each cluster is
-// a c-server queue with c = issue width, system capacity K = the
-// cluster's scheduler share, fed by the 8-wide front end split evenly
-// across clusters. Solving the stationary distribution gives the
-// blocking probability and sustainable issue throughput, from which
-// the filter derives an optimistic IPC ceiling (1-cycle service: every
-// unit pipelined, no dependency gaps) and a conservative IPC floor
-// (stretched service time covering dependency-induced issue gaps,
-// scaled by a structural safety factor).
-//
-// Pruning is relative and margin-guarded: a point is dropped only when
-// some surviving point is no larger, no pricier per event, and has a
-// conservative IPC floor clearing the victim's optimistic ceiling by
-// the margin. Every dropped point is recorded with its dominating
-// survivor, so nothing is silently lost, and the serving layer lets a
-// request disable the filter outright. The exhaustive-vs-prefiltered
-// comparison test in search_test.go validates the margins against
-// cycle-accurate runs.
-
-const (
-	frontEndWidth = 8 // dispatch slots feeding the clusters per cycle
-
-	optimisticServiceCycles   = 1.0 // fully pipelined, dependence-free
-	conservativeServiceCycles = 2.2 // loads, long ops, dependency gaps
-	// conservativeFactor further scales the pessimistic-throughput
-	// floor for everything outside the queuing model (mispredicts,
-	// cache misses, cross-cluster delays).
-	conservativeFactor = 0.45
-
-	// DefaultMargin is the extra headroom the floor of a dominating
-	// survivor must clear a victim's ceiling by.
-	DefaultMargin = 0.10
-)
-
-// Analytic is the queuing-model score of one design point.
-type Analytic struct {
-	// Optimistic is an IPC ceiling: front-end width, total issue
-	// width and blocking-adjusted queue throughput at 1-cycle service.
-	Optimistic float64 `json:"optimistic_ipc"`
-	// Conservative is the matching IPC floor under stretched service.
-	Conservative float64 `json:"conservative_ipc"`
-	// Occupancy is the mean fraction of the per-cluster window
-	// occupied in the optimistic solution.
-	Occupancy float64 `json:"occupancy"`
-	// BlockProb is the optimistic-solution probability that the
-	// window is full when a µop arrives.
-	BlockProb float64 `json:"block_prob"`
-}
-
-// mmcK solves the stationary distribution of an M/M/c/K queue and
-// returns throughput X = λ(1-p_K), mean occupancy L and p_K. The
-// state probabilities are built with the stable term recurrence
-// term_n = term_{n-1}·(λ/μ)/min(n,c), avoiding factorial overflow.
-func mmcK(lambda, mu float64, c, k int) (x, l, pk float64) {
-	if c < 1 || k < 1 || lambda <= 0 || mu <= 0 {
-		return 0, 0, 0
-	}
-	a := lambda / mu
-	term, sum, weighted := 1.0, 1.0, 0.0
-	for n := 1; n <= k; n++ {
-		div := float64(n)
-		if n > c {
-			div = float64(c)
-		}
-		term *= a / div
-		sum += term
-		weighted += float64(n) * term
-	}
-	pk = term / sum
-	l = weighted / sum
-	x = lambda * (1 - pk)
-	return x, l, pk
-}
-
-// Analyze scores a point with the queuing model. Pure arithmetic over
-// the point's fields — deterministic, allocation-free, microseconds.
-func Analyze(p Point) Analytic {
-	lambda := float64(frontEndWidth) / float64(p.Clusters)
-	// A cluster's window share: its scheduler, capped by its slice of
-	// the shared ROB.
-	k := p.IQ
-	if share := p.ROB / p.Clusters; share > 0 && share < k {
-		k = share
-	}
-	cap2 := func(v float64) float64 {
-		if lim := float64(p.Clusters * p.Width); v > lim {
-			v = lim
-		}
-		if v > frontEndWidth {
-			v = frontEndWidth
-		}
-		return v
-	}
-	xo, l, pk := mmcK(lambda, 1/optimisticServiceCycles, p.Width, k)
-	xc, _, _ := mmcK(lambda, 1/conservativeServiceCycles, p.Width, k)
-	return Analytic{
-		Optimistic:   cap2(xo * float64(p.Clusters)),
-		Conservative: conservativeFactor * cap2(xc*float64(p.Clusters)),
-		Occupancy:    l / float64(k),
-		BlockProb:    pk,
-	}
-}
-
-// Candidate pairs a point with everything the pre-filter knows about
-// it before any cycle-accurate run.
+// Candidate is a selected point before any cycle-accurate run: its
+// identity and its area proxy.
 type Candidate struct {
-	Point    Point    `json:"point"`
-	Digest   string   `json:"digest"`
-	Analytic Analytic `json:"analytic"`
-	Area     float64  `json:"area_units"`
-	// EnergyProxy prices the point's per-event costs at nominal
-	// per-instruction event rates — a pre-simulation ordering proxy
-	// for the measured pJ/inst objective.
-	EnergyProxy float64 `json:"energy_proxy"`
+	Point  Point   `json:"point"`
+	Digest string  `json:"digest"`
+	Area   float64 `json:"area_units"`
 }
-
-// Nominal per-instruction event rates for the energy proxy: operand
-// reads and result writes are mostly architectural (the µop mix),
-// wake-up broadcasts hit both operand sides, bypass drives roughly one
-// result per instruction.
-const (
-	proxyReadsPerInst  = 1.6
-	proxyWritesPerInst = 0.8
-	proxyWakeupPerInst = 2.0
-	proxyBypassPerInst = 1.0
-)
 
 // NewCandidate scores one point.
 func NewCandidate(p Point) Candidate {
-	m := EnergyModelFor(p)
-	return Candidate{
-		Point:    p,
-		Digest:   p.Digest(),
-		Analytic: Analyze(p),
-		Area:     AreaProxy(p),
-		EnergyProxy: proxyReadsPerInst*m.ReadNJ + proxyWritesPerInst*m.WriteNJ +
-			proxyWakeupPerInst*m.WakeupNJ + proxyBypassPerInst*m.BypassNJ,
-	}
+	return Candidate{Point: p, Digest: p.Digest(), Area: AreaProxy(p)}
 }
 
-// Pruned records one pre-filtered point and why it was dropped: the
-// digest of the surviving candidate that covers it and which rule
-// fired ("surplus-regs" or "margin-dominated").
+// Pruned records one pre-filtered point: the digest of the surviving
+// point it simulates cycle-identically to, and the rule that says so
+// ("surplus-regs").
 type Pruned struct {
 	Candidate
 	By     string `json:"pruned_by"`
@@ -164,7 +35,7 @@ type Pruned struct {
 // µop even if all of them land in one subset. Beyond this threshold
 // the free lists never empty, so register count has zero timing
 // effect — two points differing only in surplus registers simulate
-// cycle-identically (the redundant-regs prune rule relies on this).
+// cycle-identically (the surplus-regs prune rule relies on this).
 func RegsSufficient(p Point) bool {
 	return p.Regs/p.Subsets() >= isa.IntMapSize+p.ROB
 }
@@ -176,24 +47,14 @@ func regsKey(p Point) string {
 
 // Prefilter partitions candidates into survivors (sent to
 // cycle-accurate simulation) and pruned points (recorded, never
-// simulated). Two rules, both deterministic:
-//
-//  1. surplus-regs: among points identical except for the register
-//     count, every point whose file is beyond rename sufficiency
-//     (RegsSufficient) simulates cycle-identically, so only the
-//     smallest such file survives — the rest are pure area/energy.
-//  2. margin-dominated: candidates ranked by conservative IPC floor
-//     (ties by digest) are greedily accepted unless an already
-//     accepted survivor is no larger, no pricier per event, and its
-//     floor clears the candidate's optimistic ceiling by the margin.
-//
-// margin <= 0 selects DefaultMargin.
-func Prefilter(cands []Candidate, margin float64) (survivors []Candidate, pruned []Pruned) {
-	if margin <= 0 {
-		margin = DefaultMargin
-	}
-	// Rule 1: within each regs-group, keep the smallest sufficient
-	// file; prune the larger sufficient ones against it.
+// simulated) by one exact rule, surplus-regs: among points identical
+// except for the register count, every point whose file is beyond
+// rename sufficiency (RegsSufficient) simulates cycle-identically, so
+// only the smallest such file survives and the larger ones — pure
+// area and energy cost — are pruned against it. Every point the rule
+// prunes has a surviving witness, so a non-empty input always keeps
+// at least one survivor. Both slices come back in digest order.
+func Prefilter(cands []Candidate) (survivors []Candidate, pruned []Pruned) {
 	minSufficient := map[string]Candidate{}
 	for _, c := range cands {
 		if !RegsSufficient(c.Point) {
@@ -204,41 +65,15 @@ func Prefilter(cands []Candidate, margin float64) (survivors []Candidate, pruned
 			minSufficient[k] = c
 		}
 	}
-	var order []Candidate
 	for _, c := range cands {
-		if best, ok := minSufficient[regsKey(c.Point)]; ok &&
-			RegsSufficient(c.Point) && c.Point.Regs > best.Point.Regs {
-			pruned = append(pruned, Pruned{Candidate: c, By: best.Digest, Reason: "surplus-regs"})
-			continue
-		}
-		order = append(order, c)
-	}
-	// Rule 2 over the remainder.
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if a.Analytic.Conservative != b.Analytic.Conservative {
-			return a.Analytic.Conservative > b.Analytic.Conservative
-		}
-		return a.Digest < b.Digest
-	})
-	for _, c := range order {
-		by := ""
-		for _, q := range survivors {
-			if q.Area <= c.Area && q.EnergyProxy <= c.EnergyProxy &&
-				q.Analytic.Conservative >= c.Analytic.Optimistic*(1+margin) {
-				by = q.Digest
-				break
+		if RegsSufficient(c.Point) {
+			if best := minSufficient[regsKey(c.Point)]; c.Point.Regs > best.Point.Regs {
+				pruned = append(pruned, Pruned{Candidate: c, By: best.Digest, Reason: "surplus-regs"})
+				continue
 			}
-		}
-		if by != "" {
-			pruned = append(pruned, Pruned{Candidate: c, By: by, Reason: "margin-dominated"})
-			continue
 		}
 		survivors = append(survivors, c)
 	}
-	// Survivors return in enumeration-stable order (digest) rather
-	// than rank order, so downstream batches are independent of the
-	// ranking internals.
 	sort.Slice(survivors, func(i, j int) bool { return survivors[i].Digest < survivors[j].Digest })
 	sort.Slice(pruned, func(i, j int) bool { return pruned[i].Digest < pruned[j].Digest })
 	return survivors, pruned

@@ -45,15 +45,10 @@ type Request struct {
 	// Rounds and Eta shape successive halving: Rounds evaluation
 	// rounds over windows growing toward Measure, keeping ceil(n/Eta)
 	// candidates per round.
-	Rounds int `json:"rounds,omitempty"`
-	Eta    int `json:"eta,omitempty"`
-	// Prefilter enables the analytic pre-filter (default true).
-	Prefilter *bool `json:"prefilter,omitempty"`
-	// Margin is the pre-filter's safety margin (default
-	// DefaultMargin).
-	Margin  float64 `json:"margin,omitempty"`
-	Warmup  uint64  `json:"warmup_insts,omitempty"`
-	Measure uint64  `json:"measure_insts,omitempty"`
+	Rounds  int    `json:"rounds,omitempty"`
+	Eta     int    `json:"eta,omitempty"`
+	Warmup  uint64 `json:"warmup_insts,omitempty"`
+	Measure uint64 `json:"measure_insts,omitempty"`
 }
 
 // Normalize fills defaulted fields in place.
@@ -72,13 +67,6 @@ func (r *Request) Normalize() {
 	}
 	if r.Eta == 0 {
 		r.Eta = DefaultEta
-	}
-	if r.Prefilter == nil {
-		t := true
-		r.Prefilter = &t
-	}
-	if r.Margin == 0 {
-		r.Margin = DefaultMargin
 	}
 	if r.Warmup == 0 {
 		r.Warmup = DefaultWarmup
@@ -108,9 +96,6 @@ func (r *Request) Validate() []FieldError {
 	}
 	if r.Eta < 2 {
 		errs = append(errs, FieldError{Field: "eta", Msg: "must be at least 2"})
-	}
-	if r.Margin < 0 || r.Margin >= 1 {
-		errs = append(errs, FieldError{Field: "margin", Msg: "must be in [0,1)"})
 	}
 	if r.Measure < minRoundMeasure {
 		errs = append(errs, FieldError{Field: "measure_insts",
@@ -230,6 +215,15 @@ type nopObserver struct{}
 func (nopObserver) Phase(string)           {}
 func (nopObserver) Progress(int, int, int) {}
 
+// candidates scores every point.
+func candidates(points []Point) []Candidate {
+	cands := make([]Candidate, len(points))
+	for i, p := range points {
+		cands[i] = NewCandidate(p)
+	}
+	return cands
+}
+
 // Run executes one exploration end to end: enumerate, select,
 // pre-filter, evaluate via ev, build the frontier document. The
 // document is deterministic for a given (space, strategy, seed,
@@ -266,22 +260,8 @@ func Run(ctx context.Context, req Request, ev Evaluator, obs Observer) (*Documen
 	selected := len(points)
 
 	obs.Phase("prefilter")
-	cands := make([]Candidate, len(points))
-	for i, p := range points {
-		cands[i] = NewCandidate(p)
-	}
-	var pruned []Pruned
-	survivors := cands
-	if *r.Prefilter {
-		survivors, pruned = Prefilter(cands, r.Margin)
-	} else {
-		survivors = append([]Candidate(nil), cands...)
-		sort.Slice(survivors, func(i, j int) bool { return survivors[i].Digest < survivors[j].Digest })
-	}
+	survivors, pruned := Prefilter(candidates(points))
 	obs.Progress(0, len(pruned), 0)
-	if len(survivors) == 0 {
-		return nil, fmt.Errorf("explore: pre-filter pruned all %d points (margin %.2f)", selected, r.Margin)
-	}
 
 	var evals []Eval
 	var err error
@@ -290,7 +270,7 @@ func Run(ctx context.Context, req Request, ev Evaluator, obs Observer) (*Documen
 		evals, err = runHalving(ctx, r, canon.Kernels, survivors, ev, obs, len(pruned))
 	default:
 		obs.Phase("evaluate")
-		evals, err = evaluate(ctx, r, canon.Kernels, survivors, ev,
+		evals, err = evaluate(ctx, canon.Kernels, survivors, ev,
 			EvalOpts{Warmup: r.Warmup, Measure: r.Measure, Seed: r.Seed}, obs, len(pruned))
 	}
 	if err != nil {
@@ -302,15 +282,13 @@ func Run(ctx context.Context, req Request, ev Evaluator, obs Observer) (*Documen
 	obs.Progress(len(evals), len(pruned), len(frontier))
 
 	return &Document{
-		Version:     1,
+		Version:     2,
 		SpaceDigest: canon.Digest(),
 		Space:       canon,
 		Strategy:    r.Strategy,
 		Seed:        r.Seed,
 		Warmup:      r.Warmup,
 		Measure:     r.Measure,
-		Prefiltered: *r.Prefilter,
-		Margin:      r.Margin,
 		RawPoints:   canon.Size(),
 		Skipped:     skipped,
 		Selected:    selected,
@@ -325,7 +303,7 @@ func Run(ctx context.Context, req Request, ev Evaluator, obs Observer) (*Documen
 // kernel in one Evaluator call, so implementations can parallelize
 // freely) and aggregates per-point objectives: arithmetic mean IPC and
 // mean priced pJ/inst over the sorted kernel set.
-func evaluate(ctx context.Context, r Request, kernels []string, cands []Candidate,
+func evaluate(ctx context.Context, kernels []string, cands []Candidate,
 	ev Evaluator, opts EvalOpts, obs Observer, prunedCount int) ([]Eval, error) {
 	cells := make([]Cell, 0, len(cands)*len(kernels))
 	for _, c := range cands {
@@ -343,7 +321,7 @@ func evaluate(ctx context.Context, r Request, kernels []string, cands []Candidat
 	evals := make([]Eval, len(cands))
 	for i, c := range cands {
 		model := EnergyModelFor(c.Point)
-		e := Eval{Point: c.Point, Digest: c.Digest, Area: c.Area, Analytic: c.Analytic}
+		e := Eval{Point: c.Point, Digest: c.Digest, Area: c.Area}
 		for j, k := range kernels {
 			o := outs[i*len(kernels)+j]
 			if o.Err != nil {
@@ -388,7 +366,7 @@ func runHalving(ctx context.Context, r Request, kernels []string, cands []Candid
 			opts.Measure = minRoundMeasure
 		}
 		obs.Phase(fmt.Sprintf("round %d/%d", round+1, r.Rounds))
-		evals, err := evaluate(ctx, r, kernels, cur, ev, opts, obs, prunedCount)
+		evals, err := evaluate(ctx, kernels, cur, ev, opts, obs, prunedCount)
 		if err != nil {
 			return nil, err
 		}

@@ -3,11 +3,16 @@ package explore
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+
+	wsrs "wsrs"
 )
 
 // update regenerates the golden frontier document:
@@ -97,41 +102,138 @@ func TestRepeatedRunByteIdentical(t *testing.T) {
 	}
 }
 
-// TestPrefilterNeverDropsFrontierPoint is the acceptance criterion:
-// on the CI smoke space the exhaustive frontier equals the
-// pre-filtered frontier, i.e. the analytic filter only removed
-// genuinely dominated points.
-func TestPrefilterNeverDropsFrontierPoint(t *testing.T) {
-	t.Parallel()
-	off := false
-	exhaustive := runSmoke(t, func(r *Request) { r.Prefilter = &off })
-	filtered := runSmoke(t, nil)
-	if exhaustive.Evaluated != 18 {
-		t.Fatalf("exhaustive run evaluated %d points, want all 18", exhaustive.Evaluated)
-	}
-	if filtered.Evaluated >= exhaustive.Evaluated {
-		t.Fatalf("pre-filter evaluated %d of %d — pruned nothing", filtered.Evaluated, exhaustive.Evaluated)
-	}
-	if len(exhaustive.Frontier) != len(filtered.Frontier) {
-		t.Fatalf("frontier size differs: exhaustive %d vs filtered %d",
-			len(exhaustive.Frontier), len(filtered.Frontier))
-	}
-	for i := range exhaustive.Frontier {
-		e, f := exhaustive.Frontier[i], filtered.Frontier[i]
-		if e.Digest != f.Digest || e.IPC != f.IPC || e.EnergyPJ != f.EnergyPJ || e.Area != f.Area {
-			t.Errorf("frontier[%d] differs: exhaustive %s (%.4f, %.4f, %.0f) vs filtered %s (%.4f, %.4f, %.0f)",
-				i, e.Digest[:12], e.IPC, e.EnergyPJ, e.Area, f.Digest[:12], f.IPC, f.EnergyPJ, f.Area)
+// memoEvaluator is a LocalEvaluator that keeps every result by cell
+// and window, so an exhaustive reference and a prefiltered run share
+// one simulation per cell and the raw results stay inspectable.
+type memoEvaluator struct {
+	local   LocalEvaluator
+	results map[memoKey]wsrs.Result
+}
+
+type memoKey struct {
+	Cell
+	EvalOpts
+}
+
+func (m *memoEvaluator) Evaluate(ctx context.Context, cells []Cell, opts EvalOpts) ([]Outcome, error) {
+	var miss []Cell
+	for _, c := range cells {
+		if _, ok := m.results[memoKey{c, opts}]; !ok {
+			miss = append(miss, c)
 		}
 	}
-	// Every pruned point must appear in the exhaustive run's dominated
-	// set — pruning only ever removes non-frontier points.
-	dominated := map[string]bool{}
-	for _, d := range exhaustive.Dominated {
-		dominated[d.Digest] = true
+	outs, err := m.local.Evaluate(ctx, miss, opts)
+	if err != nil {
+		return nil, err
 	}
-	for _, p := range filtered.PrunedSet {
-		if !dominated[p.Digest] {
-			t.Errorf("pruned point %s is not dominated in the exhaustive run", p.Digest[:12])
+	for i, o := range outs {
+		if o.Err != nil {
+			return nil, o.Err
+		}
+		m.results[memoKey{miss[i], opts}] = o.Result
+	}
+	out := make([]Outcome, len(cells))
+	for i, c := range cells {
+		out[i] = Outcome{Result: m.results[memoKey{c, opts}]}
+	}
+	return out, nil
+}
+
+// pick draws between 1 and max distinct values from vals.
+func pick[T any](rng *rand.Rand, vals []T, max int) []T {
+	var out []T
+	for _, i := range rng.Perm(len(vals))[:1+rng.Intn(max)] {
+		out = append(out, vals[i])
+	}
+	return out
+}
+
+// randomRequest draws a small grid request over every axis, at the
+// smoke request's window.
+func randomRequest(rng *rand.Rand) Request {
+	req := SmokeRequest()
+	req.Space = Space{
+		Clusters:   pick(rng, []int{2, 4, 8}, 2),
+		Widths:     pick(rng, []int{1, 2, 4}, 2),
+		Regs:       pick(rng, []int{128, 256, 384, 512, 768, 1024, 2048}, 3),
+		IQSizes:    pick(rng, []int{8, 16, 32, 56}, 2),
+		ROBSizes:   pick(rng, []int{32, 64, 128}, 1),
+		Specialize: pick(rng, Specializations(), 2),
+		Policies:   pick(rng, wsrs.PolicyNames(), 2),
+		Kernels:    pick(rng, wsrs.Kernels(), 1),
+	}
+	return req
+}
+
+// checkPrefilterExact evaluates every enumerated point of a grid
+// request, bypassing the prefilter, and checks the prefiltered run
+// against that reference: the frontiers render byte-identical, and
+// every pruned point simulates to a result equal to its witness's on
+// every kernel. It returns the frontier size.
+func checkPrefilterExact(t *testing.T, req Request) int {
+	t.Helper()
+	ev := &memoEvaluator{results: map[memoKey]wsrs.Result{}}
+	canon := req.Space.Canon()
+	points, _ := canon.Enumerate()
+	opts := EvalOpts{Warmup: req.Warmup, Measure: req.Measure, Seed: req.Seed}
+	all, err := evaluate(context.Background(), canon.Kernels, candidates(points), ev, opts, nopObserver{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := Frontier(all)
+	doc, err := Run(context.Background(), req, ev, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	space := canon.Encode()
+	t.Logf("%s: %d points, %d pruned, frontier %d", space, len(points), len(doc.PrunedSet), len(want))
+	a, _ := json.MarshalIndent(want, "", "  ")
+	b, _ := json.MarshalIndent(doc.Frontier, "", "  ")
+	if !bytes.Equal(a, b) {
+		t.Errorf("%s: prefiltered frontier differs from the exhaustive one:\n--- exhaustive ---\n%s\n--- prefiltered ---\n%s", space, a, b)
+	}
+	byDigest := map[string]Point{}
+	for _, p := range points {
+		byDigest[p.Digest()] = p
+	}
+	for _, p := range doc.PrunedSet {
+		w, ok := byDigest[p.By]
+		if !ok {
+			t.Errorf("%s: pruned point %s names unknown witness %s", space, p.Point.Encode(), p.By)
+			continue
+		}
+		for _, k := range canon.Kernels {
+			got := ev.results[memoKey{CellFor(p.Point, k), opts}]
+			wit := ev.results[memoKey{CellFor(w, k), opts}]
+			if !reflect.DeepEqual(got, wit) {
+				t.Errorf("%s: pruned %s simulates differently from witness %s on %s:\npruned  %+v\nwitness %+v",
+					space, p.Point.Encode(), w.Encode(), k, got, wit)
+			}
+		}
+	}
+	return len(want)
+}
+
+// TestPrefilterNeverDropsFrontierPoint is the prefilter's safety
+// property, checked by checkPrefilterExact on the smoke space and on
+// seeded random spaces until four of them have a prune and a frontier
+// of at least two points, so both halves of the property have
+// something to get wrong.
+func TestPrefilterNeverDropsFrontierPoint(t *testing.T) {
+	t.Parallel()
+	checkPrefilterExact(t, SmokeRequest())
+	rng := rand.New(rand.NewSource(1))
+	for found, draws := 0, 0; found < 4; draws++ {
+		if draws == 100 {
+			t.Fatalf("%d random spaces held only %d with a prune and a multi-point frontier", draws, found)
+		}
+		req := randomRequest(rng)
+		points, _ := req.Space.Enumerate()
+		if _, pruned := Prefilter(candidates(points)); len(pruned) == 0 {
+			continue
+		}
+		if checkPrefilterExact(t, req) >= 2 {
+			found++
 		}
 	}
 }

@@ -3,10 +3,10 @@
 // count, issue width, physical registers, IQ/ROB sizes, register
 // specialization mode, allocation policy, kernel set), deterministic
 // search strategies over it (exhaustive grid, seeded random sampling,
-// successive halving), an analytic M/M/c-style pre-filter that prunes
-// clearly-dominated bulk before any cycle-accurate run, and a Pareto
-// engine trading IPC against dynamic energy (pJ/inst) and a
-// cacti-style area proxy.
+// successive halving), an exact pre-filter that skips every point
+// whose surplus registers make it simulate cycle-identically to a
+// smaller one, and a Pareto engine trading IPC against dynamic energy
+// (pJ/inst) and a cacti-style area proxy.
 //
 // Every point has a canonical encoding and a sha256 digest, and every
 // evaluated point maps onto an ordinary grid cell (base configuration

@@ -490,8 +490,15 @@ func (r *Renamer) LiveSubsetCounts(c isa.RegClass) []int {
 // free register, none reserved, none recycling, and every register of
 // the subset is mapped by the map table (architectural state), so no
 // in-flight commit can ever free one. This is the deadlock of §2.3.
+// It allocates nothing: the dispatch stall path calls it every time a
+// rename fails.
 func (r *Renamer) Deadlocked(c isa.RegClass, s int) bool {
 	cs := r.cls[c]
+	// A subset larger than the whole map table can never be filled by
+	// architectural state alone.
+	if cs.perSub > len(cs.mapTable)*len(cs.mapTable[0]) {
+		return false
+	}
 	if cs.free[s].len() > 0 || len(cs.reserved[s]) > 0 {
 		return false
 	}
@@ -507,7 +514,15 @@ func (r *Renamer) Deadlocked(c isa.RegClass, s int) bool {
 			return false
 		}
 	}
-	return r.LiveSubsetCounts(c)[s] == cs.perSub
+	live := 0
+	for _, mt := range cs.mapTable {
+		for _, p := range mt {
+			if r.subsetOfState(cs, p) == s {
+				live++
+			}
+		}
+	}
+	return live == cs.perSub
 }
 
 // InjectMove applies the deadlock workaround (b) of §2.3: it re-maps

@@ -285,6 +285,11 @@ func TestDeadlockDetection(t *testing.T) {
 		t.Fatalf("subset 0 must be deadlocked; live=%v free=%d",
 			r.LiveSubsetCounts(isa.RegInt), r.FreeCount(isa.RegInt, 0))
 	}
+	// Dispatch asks on every failed rename: the full check, down to
+	// the live count, must not touch the heap.
+	if avg := testing.AllocsPerRun(100, func() { r.Deadlocked(isa.RegInt, 0) }); avg != 0 {
+		t.Errorf("Deadlocked: %.1f allocs/op, want 0", avg)
+	}
 	// Workaround (b): inject a move, then renaming succeeds again.
 	moved, to, ok := r.InjectMove(isa.RegInt, 0)
 	if !ok {

@@ -333,11 +333,6 @@ func (c *Client) SubmitExplore(ctx context.Context, req *ExploreRequest) (Explor
 	return submit[ExploreStatus](ctx, c, "/v1/explore", req)
 }
 
-// GetExplore fetches one explore job's status.
-func (c *Client) GetExplore(ctx context.Context, id string) (ExploreStatus, error) {
-	return get[ExploreStatus](ctx, c, "/v1/explore/"+id)
-}
-
 // WaitExplore polls an explore job until it reaches a terminal state.
 func (c *Client) WaitExplore(ctx context.Context, id string, poll time.Duration) (ExploreStatus, error) {
 	return wait(ctx, c, "/v1/explore/"+id, poll, func(st ExploreStatus) string { return st.State })

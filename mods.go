@@ -107,7 +107,10 @@ func ValidateMods(s string) error {
 //   - every policy except the plain round-robin baseline steers over
 //     the fixed 4-cluster subset grid;
 //   - plain round-robin ignores the read-placement rule, so it cannot
-//     drive a WSRS machine.
+//     drive a WSRS machine;
+//   - in the pools organization each cluster executes only some µop
+//     classes, so only the configuration's own class-routing policy
+//     can steer it.
 //
 // The explore subsystem uses it to enumerate only simulable design
 // points, and the serving layer to 400 bad cells up front.
@@ -140,6 +143,9 @@ func ValidateCell(conf ConfigName, policy, mods string) error {
 		default:
 			return fmt.Errorf("wsrs: policy %q is defined over the 4-cluster subset grid (machine has %d clusters)", policy, cfg.NumClusters)
 		}
+	}
+	if cfg.ClusterConfigs != nil && policy != "" {
+		return fmt.Errorf("wsrs: policy %q cannot drive the pools organization (each cluster executes only its own µop classes; omit the policy)", policy)
 	}
 	if cfg.WSRS && policy == "RR" {
 		return fmt.Errorf("wsrs: plain round-robin cannot satisfy the WSRS read-placement rule (use RM, RC, RC-bal, RC-dep or RR-aff)")

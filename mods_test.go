@@ -1,6 +1,9 @@
 package wsrs
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -67,5 +70,61 @@ func TestModsChangeMachine(t *testing.T) {
 	again := run("clusters=2,width=2")
 	if again.IPC != narrow.IPC || again.Cycles != narrow.Cycles {
 		t.Errorf("modded run not deterministic: %+v vs %+v", again, narrow)
+	}
+}
+
+// TestNoAcceptedMachineDeadlocks samples machines across ParseMods's
+// whole domain — each key present or absent, every base configuration
+// and policy — keeps the ones ValidateCell accepts, and runs each on
+// every kernel at a short window. No cell may trip the watchdog:
+// anything the API accepts must make forward progress. Register, IQ
+// and ROB sizes are drawn log-uniformly, so machines whose subsets
+// hold fewer registers than the rename map (the §2.3 deadlock, which
+// the always-on move workaround resolves) come up often.
+func TestNoAcceptedMachineDeadlocks(t *testing.T) {
+	t.Parallel()
+	const points = 100
+	rng := rand.New(rand.NewSource(1))
+	logUniform := func(min, max int) int {
+		return int(math.Round(float64(min) * math.Pow(float64(max)/float64(min), rng.Float64())))
+	}
+	draw := map[string]func() int{
+		"clusters": func() int { return 1 + rng.Intn(8) },
+		"iq":       func() int { return logUniform(4, 512) },
+		"regs":     func() int { return logUniform(96, 4096) },
+		"rob":      func() int { return logUniform(8, 1024) },
+		"subsets":  func() int { return 1 + rng.Intn(8) },
+		"width":    func() int { return 1 + rng.Intn(8) },
+	}
+	confs := AllConfigs()
+	policies := append([]string{""}, PolicyNames()...)
+	var cells []GridCell
+	for accepted := 0; accepted < points; {
+		var pairs []string
+		for _, k := range ModKeys() {
+			if rng.Intn(4) > 0 {
+				pairs = append(pairs, fmt.Sprintf("%s=%d", k, draw[k]()))
+			}
+		}
+		mods := strings.Join(pairs, ",")
+		conf := confs[rng.Intn(len(confs))]
+		policy := policies[rng.Intn(len(policies))]
+		if ValidateCell(conf, policy, mods) != nil {
+			continue
+		}
+		accepted++
+		ms, err := ParseMods(mods)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range Kernels() {
+			cells = append(cells, GridCell{Kernel: k, Config: conf, Policy: policy, Mods: ms, ModsKey: mods})
+		}
+	}
+	res, _ := RunGrid(cells, SimOpts{WarmupInsts: 1_000, MeasureInsts: 3_000}, 0)
+	for _, r := range res {
+		if r.Err != nil {
+			t.Errorf("%s on %s policy %q mods %q: %v", r.Cell.Kernel, r.Cell.Config, r.Cell.Policy, r.Cell.ModsKey, r.Err)
+		}
 	}
 }

@@ -54,11 +54,6 @@ func WithMispredictPenalty(p int) MachineOption {
 	return func(c *pipeline.Config) { c.MispredictPenalty = p }
 }
 
-// WithDeadlockMoves enables the §2.3 move-injection workaround.
-func WithDeadlockMoves() MachineOption {
-	return func(c *pipeline.Config) { c.DeadlockMoves = true }
-}
-
 // RunKernelWith is RunKernel with configuration overrides and an
 // optional policy replacement (pass "" to keep the configuration's
 // own policy; "RC-bal" selects the least-loaded ablation policy).

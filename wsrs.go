@@ -158,7 +158,11 @@ func DefaultMemory() mem.Config { return mem.DefaultConfig() }
 
 // baseConfig is the machine frame shared by every configuration:
 // 8-way 4-cluster, 224-entry window, Table 2 latencies, Table 3
-// memory, 512-Kbit 2Bc-gskew predictor.
+// memory, 512-Kbit 2Bc-gskew predictor. The §2.3 move workaround is
+// always on: a move fires only when a register subset is truly
+// deadlocked, so machines whose subsets can back the map table never
+// see one, and smaller ones (fewer registers per subset than logical
+// registers, or several SMT contexts) commit instead of stopping.
 func baseConfig(name string) pipeline.Config {
 	return pipeline.Config{
 		Name:             name,
@@ -172,6 +176,7 @@ func baseConfig(name string) pipeline.Config {
 		Lat:              isa.DefaultLatencies(),
 		Mem:              mem.DefaultConfig(),
 		PredictorLogSize: 16,
+		DeadlockMoves:    true,
 	}
 }
 
@@ -526,8 +531,8 @@ func runPipeline(cfg pipeline.Config, pol alloc.Policy, ops []trace.MicroOp) (Re
 // RunKernelSMT simulates several SMT hardware contexts, one benchmark
 // kernel per context, sharing the machine (paper §2.3 flags SMT as
 // the scenario where register subsets realistically hold fewer
-// registers than the combined logical state — making the deadlock
-// workarounds load-bearing; they are enabled here).
+// registers than the combined logical state — making the move
+// workaround, on in every configuration, load-bearing).
 func RunKernelSMT(conf ConfigName, kernelNames []string, opts SimOpts) (Result, error) {
 	if len(kernelNames) < 1 {
 		return Result{}, fmt.Errorf("wsrs: need at least one context")
@@ -538,7 +543,6 @@ func RunKernelSMT(conf ConfigName, kernelNames []string, opts SimOpts) (Result, 
 		return Result{}, err
 	}
 	cfg.Threads = len(kernelNames)
-	cfg.DeadlockMoves = true
 	var srcs []trace.Reader
 	for _, name := range kernelNames {
 		cur, err := kernelReader(name)
